@@ -2,10 +2,10 @@
 collect per-replica error rows, and summarize rate-scaling fits.
 
 Determinism: the task for (cell index, p index, replica) draws everything
-from derive_seed(cfg.seed, cell, p_idx, replica); rows are computed in any
-scheduling order, then sorted by that key before writing, so output files
-depend only on the config. The `timing` switch controls the seconds column
-("zero" keeps files byte-identical across runs; "wall" records real time).
+from derive_seed(cfg.seed, cell, p_idx, replica) and tasks run serially in
+that key order, so output files depend only on the config. The `timing`
+switch controls the seconds column ("zero" keeps files byte-identical across
+runs; "wall" records real time).
 
 Work budget: a run is refused up front when the projected work exceeds
 cfg.budget abstract operations (enumeration sizes for exact search, sweep
@@ -17,9 +17,7 @@ status, never as aborts.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +28,7 @@ from .estimators import (
     SolverConfig,
     adaptive_penalized,
     block_coordinate_ls,
+    enumeration_size,
     exact_least_squares,
     hard_threshold,
     row_candidate_count,
@@ -177,12 +176,6 @@ def _family_for(name: str, args: tuple) -> ModelFamily:
 
 # ---------- work budget ---------- #
 
-def _enum_sizes(spec):
-    size_x = 1 if spec.s_n == 0 else row_candidate_count(spec.k_n, spec.s_n, spec.alphabet_n) ** spec.n
-    size_z = 1 if spec.s_m == 0 else row_candidate_count(spec.k_m, spec.s_m, spec.alphabet_m) ** spec.m
-    return size_x, size_z
-
-
 def _cell_work(method: str, spec, solver: SolverConfig) -> float:
     """Projected abstract operations for one estimator call; instant refusals
     cost nothing."""
@@ -196,12 +189,8 @@ def _cell_work(method: str, spec, solver: SolverConfig) -> float:
         return sum(math.comb(k, j) for j in range(s + 1))
 
     if method == "exact":
-        try:
-            size_x, size_z = _enum_sizes(spec)
-        except ParameterError:
-            return 0.0
-        total = size_x * size_z
-        return float(total) if total <= solver.exhaustive_limit else 0.0
+        size = enumeration_size(spec)
+        return float(size) if size is not None and size <= solver.exhaustive_limit else 0.0
     if method == "bcd":
         cx = side_count(spec.k_n, spec.s_n, spec.alphabet_n)
         cz = side_count(spec.k_m, spec.s_m, spec.alphabet_m)
@@ -215,14 +204,11 @@ def _cell_work(method: str, spec, solver: SolverConfig) -> float:
     for s_n in range(1, spec.k_n + 1):
         for s_m in range(1, spec.k_m + 1):
             spec_s = replace(spec, s_n=s_n, s_m=s_m)
-            finite = all(a.kind == "finite" or s == 0
-                         for s, a in ((s_n, spec.alphabet_n), (s_m, spec.alphabet_m)))
-            if finite:
-                size_x, size_z = _enum_sizes(spec_s)
-                if size_x * size_z <= solver.exhaustive_limit:
-                    total += float(size_x * size_z)
-                    continue
-            total += _cell_work("bcd", spec_s, solver)
+            size = enumeration_size(spec_s)
+            if size is not None and size <= solver.exhaustive_limit:
+                total += float(size)
+            else:
+                total += _cell_work("bcd", spec_s, solver)
     return total
 
 
@@ -257,7 +243,7 @@ def _estimate(method, obs, spec, solver, constant, noise, seed):
 
 
 def run_experiment(cfg: BenchConfig) -> list[BenchRow]:
-    """All (grid cell, p, replica) rows, sorted by that key; writes cfg.out
+    """All (grid cell, p, replica) rows, in that key order; writes cfg.out
     as CSV when set. Estimator refusals / failures become row status values.
     """
     projected = estimate_work(cfg)
@@ -315,15 +301,7 @@ def run_experiment(cfg: BenchConfig) -> list[BenchRow]:
             seconds=seconds,
         )
 
-    env_cap = os.environ.get("SMC_THREADS")
-    workers = max(1, int(env_cap)) if env_cap else min(8, os.cpu_count() or 1)
-    workers = min(workers, len(tasks))
-    if workers == 1:
-        rows = [run_task(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_task, tasks))
-    rows = [row for _, row in sorted(zip(tasks, rows), key=lambda kr: kr[0])]
+    rows = [run_task(t) for t in tasks]
 
     if cfg.out:
         with open(cfg.out, "w") as fh:

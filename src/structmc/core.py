@@ -207,6 +207,8 @@ class Observation:
             raise ParameterError(f"p must lie in (0, 1], got {self.p}")
         if np.any(y[mask == 0] != 0):
             raise ParameterError("y must be exactly 0 wherever mask is 0")
+        if not np.all(np.isfinite(y)):
+            raise ParameterError("observed entries of y must be finite")
         if self.sigma < 0:
             raise ParameterError("sigma must be >= 0")
 

@@ -3,9 +3,11 @@ sparse-factor class, SVD hard thresholding, and the sparsity-adaptive
 penalized selector.
 
 The combinatorial search only ever ranges over (X, Z): the middle factor is
-unconstrained, so B is profiled out in closed form by masked least squares
-(minimum-Frobenius-norm solution, singular values below 1e-10 * sigma_max
-treated as zero).
+unconstrained, so B is profiled out in closed form by masked least squares,
+one normal-equations solve on the (k_n k_m)-square Gram of the masked design
+(minimum-Frobenius-norm solution). The cutoff _RCOND applies to the Gram's
+singular values, so design singular values below sqrt(_RCOND) * sigma_max
+(1e-5 relative) are treated as zero.
 """
 
 from __future__ import annotations
@@ -87,6 +89,20 @@ def row_candidate_count(k: int, s: int, alphabet: Alphabet) -> int:
     return sum(math.comb(k, j) * d ** j for j in range(s + 1))
 
 
+def enumeration_size(spec: StructureSpec) -> int | None:
+    """Undeduped size of the exact search over (X, Z): the per-row candidate
+    count of X to the n times that of Z to the m; None when a side with
+    positive sparsity has an interval alphabet (nothing to enumerate)."""
+    size = 1
+    for s, k, rows, alph in ((spec.s_n, spec.k_n, spec.n, spec.alphabet_n),
+                             (spec.s_m, spec.k_m, spec.m, spec.alphabet_m)):
+        if s > 0:
+            if alph.kind != "finite":
+                return None
+            size *= row_candidate_count(k, s, alph) ** rows
+    return size
+
+
 def _candidate_rows(k: int, s: int, alphabet: Alphabet, bounded: bool) -> np.ndarray:
     """Distinct candidate rows, first occurrence kept, in the documented
     order: support size ascending, index sets lexicographic within a size,
@@ -106,10 +122,24 @@ def _candidate_rows(k: int, s: int, alphabet: Alphabet, bounded: bool) -> np.nda
 
 # ---------- closed-form middle factor ---------- #
 
-def _design(x: np.ndarray, z: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Masked design of vec(B): row (i*m+j), column (a*k_m+b) is X_ia Z_jb."""
-    d = np.einsum("ia,jb->ijab", x, z).reshape(x.shape[0] * z.shape[0], -1)
-    return d * mask.reshape(-1, 1)
+def _solve_b(x: np.ndarray, z: np.ndarray, mask: np.ndarray, yp: np.ndarray) -> np.ndarray:
+    """Minimum-norm masked least-squares B for one X and a batch of Z of
+    shape (c, m, k_m); returns (c, k_n, k_m).
+
+    Solves the normal equations G vec(B) = X^T Y' Z (yp is zero off the
+    mask, as Observation guarantees), where G = sum_ij E_ij (x_i x_i^T) kron
+    (z_j z_j^T), so memory per candidate is O(n m + (k_n k_m)^2), not that
+    of the (n m, k_n k_m) design.
+    """
+    n, k_n = x.shape
+    c, m, k_m = z.shape
+    xx = (x[:, :, None] * x[:, None, :]).reshape(n, k_n * k_n)
+    zz = (z[:, :, :, None] * z[:, :, None, :]).reshape(c, m, k_m * k_m)
+    g = ((xx.T @ mask) @ zz).reshape(c, k_n, k_n, k_m, k_m).transpose(0, 1, 3, 2, 4)
+    rhs = (x.T @ yp) @ z
+    kk = k_n * k_m
+    b = np.linalg.pinv(g.reshape(c, kk, kk), rcond=_RCOND) @ rhs.reshape(c, kk, 1)
+    return b.reshape(c, k_n, k_m)
 
 
 def solve_b_given_xz(obs: Observation, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -125,14 +155,7 @@ def solve_b_given_xz(obs: Observation, x: np.ndarray, z: np.ndarray) -> np.ndarr
         raise ShapeError(f"X must have {n} rows, got shape {x.shape}")
     if z.ndim != 2 or z.shape[0] != m:
         raise ShapeError(f"Z must have {m} rows, got shape {z.shape}")
-    yp = obs.y_rescaled
-    if np.all(obs.mask == 1.0):
-        # full mask: pinv(X) Y' pinv(Z)^T is the minimum-norm solution
-        return np.linalg.pinv(x, rcond=_RCOND) @ yp @ np.linalg.pinv(z, rcond=_RCOND).T
-    a = _design(x, z, obs.mask)
-    target = (obs.mask * yp).ravel()
-    b_vec = np.linalg.lstsq(a, target, rcond=_RCOND)[0]
-    return b_vec.reshape(x.shape[1], z.shape[1])
+    return _solve_b(x, z[None], obs.mask, obs.y_rescaled)[0]
 
 
 def _masked_obj(yp, mask, theta) -> float:
@@ -155,18 +178,16 @@ def exact_least_squares(obs: Observation, spec: StructureSpec, cfg: SolverConfig
             raise ParameterError(
                 f"exact search needs a finite alphabet for {side}; use block_coordinate_ls"
             )
-    size_x = 1 if spec.s_n == 0 else row_candidate_count(spec.k_n, spec.s_n, spec.alphabet_n) ** spec.n
-    size_z = 1 if spec.s_m == 0 else row_candidate_count(spec.k_m, spec.s_m, spec.alphabet_m) ** spec.m
-    if size_x * size_z > cfg.exhaustive_limit:
+    size = enumeration_size(spec)
+    if size > cfg.exhaustive_limit:
         raise EnumerationRefusal(
-            f"enumeration size {size_x * size_z} exceeds exhaustive_limit "
+            f"enumeration size {size} exceeds exhaustive_limit "
             f"{cfg.exhaustive_limit}; use block_coordinate_ls"
         )
 
     n, m = spec.n, spec.m
     yp = obs.y_rescaled
-    mask_flat = obs.mask.reshape(-1, 1)
-    target = (obs.mask * yp).ravel()
+    mask = obs.mask
 
     if spec.s_n == 0:
         x_rows, x_iter = None, [np.eye(n)]
@@ -179,23 +200,21 @@ def exact_least_squares(obs: Observation, spec: StructureSpec, cfg: SolverConfig
         z_rows = _candidate_rows(spec.k_m, spec.s_m, spec.alphabet_m, spec.bounded)
         z_all = np.array([z_rows[list(iz)] for iz in itertools.product(range(len(z_rows)), repeat=m)])
 
+    # Z candidates are solved in chunks so the (c, n, m) residuals stay small
     kk = spec.k_n * spec.k_m
-    chunk = max(1, int(2_000_000 / max(1, n * m * kk)))
+    chunk = max(1, 2_000_000 // (n * m + kk * kk))
     best = None  # (objective, x, b, z)
     pairs = 0
     for x in x_iter:
         for lo in range(0, len(z_all), chunk):
             zc = z_all[lo:lo + chunk]
-            # design[c, (i,j), (a,b)] = X_ia Zc_jb, masked rows zeroed
-            design = np.einsum("ia,cjb->cijab", x, zc).reshape(len(zc), n * m, kk)
-            design = design * mask_flat
-            b_vec = np.linalg.pinv(design, rcond=_RCOND) @ target
-            resid = target - np.einsum("cek,ck->ce", design, b_vec)
-            objs = np.sum(resid * resid, axis=1)
+            b = _solve_b(x, zc, mask, yp)
+            resid = mask * (yp - x @ b @ zc.transpose(0, 2, 1))
+            objs = np.sum(resid * resid, axis=(1, 2))
             c = int(np.argmin(objs))
             pairs += len(zc)
             if best is None or objs[c] < best[0]:
-                best = (float(objs[c]), x.copy(), b_vec[c].reshape(spec.k_n, spec.k_m), zc[c].copy())
+                best = (float(objs[c]), x.copy(), b[c], zc[c].copy())
 
     obj, x_best, b_best, z_best = best
     fact = Factorization(x=x_best, b=b_best, z=z_best)
@@ -437,33 +456,30 @@ def adaptive_penalized(obs: Observation, base_spec: StructureSpec, lam: float,
     if n * m * math.log(3 * math.sqrt(min(n, m))) < 6 * math.log(base_spec.k_n * base_spec.k_m) or d < 10:
         warnings.warn("problem size is below the regime the penalty calibration targets",
                       stacklevel=2)
+    pens = {(s_n, s_m): penalty(s_n, s_m, base_spec)
+            for s_n in range(1, base_spec.k_n + 1) for s_m in range(1, base_spec.k_m + 1)}
+    gaps = [pen - pens[1, 1] for s, pen in pens.items() if s != (1, 1)]
+    # the zero matrix lies in every cell, so no cell's residual exceeds ||Y_Omega||^2
+    if gaps and lam * min(gaps) > float(np.sum(obs.y * obs.y)):
+        warnings.warn("lambda * (smallest penalty gap to (1, 1)) exceeds ||Y_Omega||^2: "
+                      "the penalty alone selects (1, 1)", stacklevel=2)
     # p = 1 wrapper: the solvers' masked objective then equals ||Y - theta_Omega||^2
     raw = Observation(y=obs.y, mask=obs.mask, p=1.0, sigma=obs.sigma, b=obs.b)
 
     best = None
-    for s_n in range(1, base_spec.k_n + 1):
-        for s_m in range(1, base_spec.k_m + 1):
-            spec_s = replace(base_spec, s_n=s_n, s_m=s_m)
-            if _exact_feasible(spec_s, cfg):
-                res = exact_least_squares(raw, spec_s, cfg)
-            else:
-                res = block_coordinate_ls(raw, spec_s, cfg, seed, path=(s_n, s_m))
-            pen_obj = res.objective + lam * penalty(s_n, s_m, base_spec)
-            key = (pen_obj, s_n + s_m, s_n)
-            if best is None or key < best[0]:
-                best = (key, (s_n, s_m), res)
+    for (s_n, s_m), pen in pens.items():
+        spec_s = replace(base_spec, s_n=s_n, s_m=s_m)
+        size = enumeration_size(spec_s)
+        if size is not None and size <= cfg.exhaustive_limit:
+            res = exact_least_squares(raw, spec_s, cfg)
+        else:
+            res = block_coordinate_ls(raw, spec_s, cfg, seed, path=(s_n, s_m))
+        key = (res.objective + lam * pen, s_n + s_m, s_n)
+        if best is None or key < best[0]:
+            best = (key, (s_n, s_m), res)
 
     key, sel, res = best
     return EstimateResult(theta_hat=res.theta_hat, objective=key[0],
                           factorization=res.factorization, selected_s=sel,
                           iterations=res.iterations, restarts_used=res.restarts_used,
                           converged=res.converged)
-
-
-def _exact_feasible(spec: StructureSpec, cfg: SolverConfig) -> bool:
-    for s, alph in ((spec.s_n, spec.alphabet_n), (spec.s_m, spec.alphabet_m)):
-        if s > 0 and alph.kind != "finite":
-            return False
-    size_x = 1 if spec.s_n == 0 else row_candidate_count(spec.k_n, spec.s_n, spec.alphabet_n) ** spec.n
-    size_z = 1 if spec.s_m == 0 else row_candidate_count(spec.k_m, spec.s_m, spec.alphabet_m) ** spec.m
-    return size_x * size_z <= cfg.exhaustive_limit

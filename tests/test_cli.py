@@ -117,6 +117,16 @@ def test_estimate_svt_needs_lambda(pipeline_files, capsys):
     assert code == 0
 
 
+def test_estimate_rejects_nan_observation(pipeline_files, capsys):
+    theta, spec, obs = pipeline_files
+    payload = json.loads(obs.read_text())
+    payload["data"][payload["mask"].index(1)] = float("nan")
+    obs.write_text(json.dumps(payload))              # writes the NaN literal
+    code = main(["estimate", "--method", "bcd", "--obs", str(obs), "--spec", str(spec)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_estimate_exact_refusal_exit_code(tmp_path, capsys):
     # wide finite alphabet: enumeration overflows the default ceiling
     spec = write_spec(tmp_path, n=8, m=8, k_n=8, k_m=8, s_n=4, s_m=4,

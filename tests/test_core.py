@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from structmc import (
     Alphabet,
     Factorization,
+    Observation,
     ParameterError,
     ShapeError,
     StructureSpec,
@@ -189,3 +190,13 @@ def test_membership_tolerance_forgives_roundoff():
     f = Factorization(x, np.eye(2), z)
     assert not validate_membership(f, spec).accepted
     assert validate_membership(f, spec, tol=1e-9).accepted
+
+
+# ---- observations --------------------------------------------------------- #
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_observation_rejects_non_finite_observed_entries(bad):
+    y = np.ones((3, 4))
+    y[1, 2] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        Observation(y=y, mask=np.ones((3, 4)), p=1.0)

@@ -90,6 +90,41 @@ def test_solve_b_masked_matches_kron_lstsq():
     np.testing.assert_allclose(got.ravel(), coef, atol=1e-8)
 
 
+def rank_deficient_factors(rng):
+    """(X, Z, mask-restriction) triples whose masked design is rank deficient."""
+    x = rng.normal(size=(7, 3))
+    x[:, 2] = 0.0                                       # empty cluster
+    z = rng.normal(size=(6, 3))
+    yield "empty cluster", x, z, None
+    x = rng.normal(size=(7, 3))
+    z = rng.normal(size=(6, 3))
+    z[:, 2] = 0.3 * z[:, 0] - 1.7 * z[:, 1]             # collinear columns
+    yield "collinear columns", x, z, None
+    labels_x, labels_z = np.arange(7) % 3, np.arange(6) % 2
+    x = np.eye(3)[labels_x] * rng.uniform(0.5, 2.0, size=(7, 1))
+    z = np.eye(2)[labels_z] * rng.uniform(0.5, 2.0, size=(6, 1))
+    # block pair (0, 1) never observed
+    yield "unobserved block pair", x, z, ~((labels_x[:, None] == 0) & (labels_z[None, :] == 1))
+
+
+def test_solve_b_rank_deficient_matches_min_norm_lstsq():
+    # near-null Gram directions carry rounding noise; a cutoff below the
+    # Gram's precision keeps them and the solution leaves the minimum norm
+    rng = np.random.default_rng(11)
+    for p in (1.0, 0.6, 0.3):
+        for trial in range(4):
+            for label, x, z, keep in rank_deficient_factors(rng):
+                mask = (rng.random((x.shape[0], z.shape[0])) < p).astype(float)
+                if keep is not None:
+                    mask *= keep
+                y = rng.normal(size=mask.shape) * mask
+                got = solve_b_given_xz(Observation(y=y, mask=mask, p=1.0), x, z)
+                w = mask.astype(bool).ravel()
+                coef, *_ = np.linalg.lstsq(np.kron(x, z)[w], y.ravel()[w], rcond=None)
+                np.testing.assert_allclose(got.ravel(), coef, atol=1e-8,
+                                           err_msg=f"{label}, p={p}, trial {trial}")
+
+
 def test_solve_b_rescales_by_p():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(6, 2))
@@ -395,6 +430,18 @@ def test_adaptive_validation():
     base, obs = adaptive_case()
     with pytest.raises(ParameterError):
         adaptive_penalized(obs, base, 0.0, SolverConfig(), seed=0)
+
+
+def test_adaptive_warns_when_penalty_alone_decides():
+    # adaptive_case: ||Y||^2 = 0.74 and the smallest penalty gap to (1, 1) is 22.2
+    base, obs = adaptive_case()
+    cfg = SolverConfig(restarts=1)
+    with pytest.warns(UserWarning, match="penalty alone"):
+        adaptive_penalized(obs, base, 100.0, cfg, seed=0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        adaptive_penalized(obs, base, 0.01, cfg, seed=0)
+    assert not [w for w in caught if "penalty alone" in str(w.message)]
 
 
 def test_adaptive_warns_below_calibrated_regime():
