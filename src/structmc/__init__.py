@@ -8,6 +8,8 @@ estimators (least squares, hard thresholding, adaptive selection), rates
 sets), bench (Monte Carlo harness), cli (command line).
 """
 
+import logging
+
 from .core import (
     Alphabet,
     Factorization,
@@ -78,6 +80,9 @@ from .bench import (
 )
 
 __version__ = "0.1.0"
+
+# library logging stays silent unless the application configures a handler
+logging.getLogger("structmc").addHandler(logging.NullHandler())
 
 __all__ = [
     "Alphabet", "Factorization", "Norms", "Observation", "ParameterError",

@@ -11,11 +11,13 @@ Work budget: a run is refused up front when the projected work exceeds
 cfg.budget abstract operations (enumeration sizes for exact search, sweep
 cost for coordinate descent, n*m*min(n,m) per SVD, summed over the adaptive
 grid); refusals raised by an estimator mid-run are recorded as per-row
-status, never as aborts.
+status, never as aborts. Any other exception marks its row failed and is
+logged as a warning on the "structmc.bench" logger with its class and message.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass, replace
@@ -54,6 +56,8 @@ CSV_HEADER = ("family,n,m,k_n,k_m,s_n,s_m,p,sigma,method,replica,status,"
               "frob_err_sq,spec_err_sq,objective,sel_sn,sel_sm,rate_total,ratio,seconds")
 
 _METHODS = ("exact", "bcd", "svt", "adaptive")
+
+_log = logging.getLogger(__name__)
 
 
 class BudgetError(RuntimeError):
@@ -276,8 +280,10 @@ def run_experiment(cfg: BenchConfig) -> list[BenchRow]:
             res = _estimate(cfg.method, obs, spec, cfg.solver, cfg.constant, cfg.noise, seed)
         except EnumerationRefusal:
             status = "refused"
-        except Exception:
+        except Exception as exc:
             status = "failed"
+            _log.warning("task %s failed: %s: %s", key, type(exc).__name__, exc,
+                         exc_info=True)
         seconds = time.perf_counter() - start if cfg.timing == "wall" else 0.0
 
         frob = spec_sq = objective = ratio = None

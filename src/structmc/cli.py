@@ -185,6 +185,8 @@ def estimate_cmd(method, obs_file, spec_file, lam, restarts, seed, out):
         "objective": res.objective,
         "selected_s": list(res.selected_s) if res.selected_s is not None else None,
         "iterations": res.iterations,
+        "converged": res.converged,
+        "restarts_used": res.restarts_used,
     }
     _emit(dumps_canonical(payload), out)
 

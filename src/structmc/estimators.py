@@ -123,20 +123,23 @@ def _candidate_rows(k: int, s: int, alphabet: Alphabet, bounded: bool) -> np.nda
 # ---------- closed-form middle factor ---------- #
 
 def _solve_b(x: np.ndarray, z: np.ndarray, mask: np.ndarray, yp: np.ndarray) -> np.ndarray:
-    """Minimum-norm masked least-squares B for one X and a batch of Z of
-    shape (c, m, k_m); returns (c, k_n, k_m).
+    """Minimum-norm masked least-squares B for a batch of (X, Z) pairs: x of
+    shape (c|1, n, k_n) and z of shape (c|1, m, k_m), a batch of one being
+    shared by every pair; returns (c, k_n, k_m).
 
     Solves the normal equations G vec(B) = X^T Y' Z (yp is zero off the
     mask, as Observation guarantees), where G = sum_ij E_ij (x_i x_i^T) kron
-    (z_j z_j^T), so memory per candidate is O(n m + (k_n k_m)^2), not that
-    of the (n m, k_n k_m) design.
+    (z_j z_j^T), so memory per pair is O((n + m)(k_n^2 + k_m^2) + (k_n k_m)^2),
+    not that of the (n m, k_n k_m) design. One pinv call covers the batch.
     """
-    n, k_n = x.shape
-    c, m, k_m = z.shape
-    xx = (x[:, :, None] * x[:, None, :]).reshape(n, k_n * k_n)
-    zz = (z[:, :, :, None] * z[:, :, None, :]).reshape(c, m, k_m * k_m)
-    g = ((xx.T @ mask) @ zz).reshape(c, k_n, k_n, k_m, k_m).transpose(0, 1, 3, 2, 4)
-    rhs = (x.T @ yp) @ z
+    _, n, k_n = x.shape
+    _, m, k_m = z.shape
+    xx = (x[:, :, :, None] * x[:, :, None, :]).reshape(-1, n, k_n * k_n)
+    zz = (z[:, :, :, None] * z[:, :, None, :]).reshape(-1, m, k_m * k_m)
+    g = (xx.transpose(0, 2, 1) @ mask) @ zz
+    c = len(g)
+    g = g.reshape(c, k_n, k_n, k_m, k_m).transpose(0, 1, 3, 2, 4)
+    rhs = (x.transpose(0, 2, 1) @ yp) @ z
     kk = k_n * k_m
     b = np.linalg.pinv(g.reshape(c, kk, kk), rcond=_RCOND) @ rhs.reshape(c, kk, 1)
     return b.reshape(c, k_n, k_m)
@@ -155,7 +158,7 @@ def solve_b_given_xz(obs: Observation, x: np.ndarray, z: np.ndarray) -> np.ndarr
         raise ShapeError(f"X must have {n} rows, got shape {x.shape}")
     if z.ndim != 2 or z.shape[0] != m:
         raise ShapeError(f"Z must have {m} rows, got shape {z.shape}")
-    return _solve_b(x, z[None], obs.mask, obs.y_rescaled)[0]
+    return _solve_b(x[None], z[None], obs.mask, obs.y_rescaled)[0]
 
 
 def _masked_obj(yp, mask, theta) -> float:
@@ -208,7 +211,7 @@ def exact_least_squares(obs: Observation, spec: StructureSpec, cfg: SolverConfig
     for x in x_iter:
         for lo in range(0, len(z_all), chunk):
             zc = z_all[lo:lo + chunk]
-            b = _solve_b(x, zc, mask, yp)
+            b = _solve_b(x[None], zc, mask, yp)
             resid = mask * (yp - x @ b @ zc.transpose(0, 2, 1))
             objs = np.sum(resid * resid, axis=(1, 2))
             c = int(np.argmin(objs))
@@ -303,11 +306,12 @@ def _update_rows_interval(y, mask, p_rows, rows_cur, s, lo, hi):
     return best_rows, best_obj
 
 
-def _init_factor(rng, rows, k, s, alphabet, bounded):
+def _init_factor(rng, rows, k, s, alphabet, bounded, cand):
+    """Random factor: rows drawn from the finite candidate table cand, or
+    random s-sparse interval rows when cand is None; the identity if s = 0."""
     if s == 0:
         return np.eye(rows)
-    if alphabet.kind == "finite":
-        cand = _candidate_rows(k, s, alphabet, bounded)
+    if cand is not None:
         return cand[rng.integers(0, len(cand), size=rows)]
     lo, hi = _interval_bounds(alphabet, bounded)
     out = np.zeros((rows, k))
@@ -327,9 +331,10 @@ def block_coordinate_ls(obs: Observation, spec: StructureSpec, cfg: SolverConfig
     cfg.tol; best of cfg.restarts random initializations.
 
     Each restart seeds the descent with the best of a pool of random (X, Z)
-    draws, judged by a one-shot B-fit; the discrete landscape has many
-    block-wise local minima, and spending the restart budget on well-placed
-    starts is what makes small restart counts reliable.
+    draws, each judged by its masked residual under its own B, all of which
+    come from one batched B-solve; the discrete landscape has many block-wise
+    local minima, and spending the restart budget on well-placed starts is
+    what makes small restart counts reliable.
 
     The objective is non-increasing across every update (finite rows by
     exhaustive per-row argmin, continuous rows and clipped B by the
@@ -355,14 +360,20 @@ def block_coordinate_ls(obs: Observation, spec: StructureSpec, cfg: SolverConfig
     best = None
     for r_idx in range(cfg.restarts):
         rng = stream(seed, PURPOSE_SOLVER, *path, r_idx)
+        xs, zs = [], []
+        for _ in range(pool):
+            xs.append(_init_factor(rng, spec.n, spec.k_n, spec.s_n, spec.alphabet_n,
+                                   spec.bounded, cand_x))
+            zs.append(_init_factor(rng, spec.m, spec.k_m, spec.s_m, spec.alphabet_m,
+                                   spec.bounded, cand_z))
+        # an identity side is shared by every draw: pass it as a batch of one
+        bs = _solve_b(np.array(xs if spec.s_n else xs[:1]),
+                      np.array(zs if spec.s_m else zs[:1]), mask, yp)
+        if spec.bounded:
+            bs = np.clip(bs, -spec.b_max, spec.b_max)
         x = z = b = None
         obj = math.inf
-        for _ in range(pool):
-            x_try = _init_factor(rng, spec.n, spec.k_n, spec.s_n, spec.alphabet_n, spec.bounded)
-            z_try = _init_factor(rng, spec.m, spec.k_m, spec.s_m, spec.alphabet_m, spec.bounded)
-            b_try = solve_b_given_xz(obs, x_try, z_try)
-            if spec.bounded:
-                b_try = np.clip(b_try, -spec.b_max, spec.b_max)
+        for x_try, b_try, z_try in zip(xs, bs, zs):
             obj_try = _masked_obj(yp, mask, x_try @ b_try @ z_try.T)
             if obj_try < obj:
                 x, z, b, obj = x_try, z_try, b_try, obj_try

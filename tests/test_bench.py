@@ -124,6 +124,22 @@ def test_run_experiment_marks_refusals():
     assert all(r.frob_err_sq is None for r in rows)
 
 
+def test_failed_rows_log_exception_class_and_message(monkeypatch, caplog):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(bench, "_estimate", boom)
+    with caplog.at_level("WARNING", logger="structmc.bench"):
+        rows = run_experiment(sbm_config())
+    assert [r.status for r in rows] == ["failed", "failed"]
+    assert all(r.objective is None for r in rows)
+    logged = [rec for rec in caplog.records if rec.name == "structmc.bench"]
+    assert len(logged) == 2
+    for rec in logged:
+        assert rec.levelname == "WARNING"
+        assert "RuntimeError: boom" in rec.getMessage()
+
+
 def test_run_experiment_replica_independence():
     # replicas draw different masks/noise but share the config
     cfg = sbm_config(replicas=4, noise=NoiseKind.gaussian(1.0))

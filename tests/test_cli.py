@@ -107,6 +107,17 @@ def test_estimate_bcd_payload(pipeline_files, capsys):
     assert payload["selected_s"] is None
 
 
+def test_estimate_bcd_reports_convergence_and_restarts(pipeline_files, capsys):
+    theta, spec, obs = pipeline_files
+    code, out = run(capsys, "estimate", "--method", "bcd", "--obs", str(obs),
+                    "--spec", str(spec), "--seed", "5", "--restarts", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert isinstance(payload["converged"], bool)
+    assert type(payload["restarts_used"]) is int and payload["restarts_used"] == 3
+    assert not any("second" in key for key in payload)     # no timing fields
+
+
 def test_estimate_svt_needs_lambda(pipeline_files, capsys):
     theta, spec, obs = pipeline_files
     code, _ = run(capsys, "estimate", "--method", "svt", "--obs", str(obs),
@@ -282,6 +293,43 @@ def test_bench_deterministic_bytes(tmp_path, capsys):
     _, first = run(capsys, "bench", "--config", str(cfg))
     _, second = run(capsys, "bench", "--config", str(cfg))
     assert first == second
+
+
+# (n, p, replica, status, objective) of every row of the config below,
+# pinned so that a speedup of the solver keeps the determinism contract:
+# the same seed gives the same rows
+BCD_SBM_ROWS = [
+    (20, 1.0, 0, "ok", 99.781874508429),
+    (20, 1.0, 1, "ok", 98.50766945678453),
+    (20, 1.0, 2, "ok", 102.44812159269154),
+    (20, 0.5, 0, "ok", 172.4158541105771),
+    (20, 0.5, 1, "ok", 163.61197060045458),
+    (20, 0.5, 2, "ok", 167.49418576347315),
+    (40, 1.0, 0, "ok", 412.50682118085115),
+    (40, 1.0, 1, "ok", 410.9646729167433),
+    (40, 1.0, 2, "ok", 389.333035616857),
+    (40, 0.5, 0, "ok", 860.133861197749),
+    (40, 0.5, 1, "ok", 764.1970751273494),
+    (40, 0.5, 2, "ok", 792.0544502571577),
+]
+
+
+def test_bench_bcd_rows_match_recorded_values(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bench_config_obj(
+        grid=[[20, 3], [40, 3]], p=[1.0, 0.5], solver={"restarts": 2},
+        replicas=3, seed=2024)))
+    code, out = run(capsys, "bench", "--config", str(cfg))
+    assert code == 0
+    header, *lines = out.strip().splitlines()
+    col = {name: i for i, name in enumerate(header.split(","))}
+    assert len(lines) == len(BCD_SBM_ROWS)
+    for line, (n, p, replica, status, objective) in zip(lines, BCD_SBM_ROWS):
+        cells = line.split(",")
+        assert (int(cells[col["n"]]), float(cells[col["p"]]), int(cells[col["replica"]])) \
+            == (n, p, replica)
+        assert cells[col["status"]] == status
+        assert float(cells[col["objective"]]) == pytest.approx(objective, rel=1e-12, abs=0)
 
 
 # ---- top level ---------------------------------------------------------------------- #

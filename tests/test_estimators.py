@@ -125,6 +125,30 @@ def test_solve_b_rank_deficient_matches_min_norm_lstsq():
                                            err_msg=f"{label}, p={p}, trial {trial}")
 
 
+def test_solve_b_batches_x_and_z_like_single_solves():
+    # one batched call over (X, Z) pairs equals one solve per pair, with a
+    # batch of one broadcast against the other side; the empty-cluster pair
+    # keeps the minimum-norm solution of its rank-deficient design
+    rng = np.random.default_rng(5)
+    for p in (1.0, 0.6):
+        xs = rng.normal(size=(7, 8, 3))
+        zs = rng.normal(size=(7, 6, 2))
+        xs[6, :, 1] = 0.0                                   # empty cluster
+        mask = (rng.random((8, 6)) < p).astype(float)
+        obs = Observation(y=rng.normal(size=mask.shape) * mask, mask=mask, p=p)
+        singles = np.array([solve_b_given_xz(obs, x, z) for x, z in zip(xs, zs)])
+        got = est._solve_b(xs, zs, obs.mask, obs.y_rescaled)
+        np.testing.assert_allclose(got, singles, rtol=1e-12, atol=1e-12, err_msg=f"p={p}")
+        shared_x = est._solve_b(xs[:1], zs, obs.mask, obs.y_rescaled)
+        np.testing.assert_allclose(
+            shared_x, [solve_b_given_xz(obs, xs[0], z) for z in zs],
+            rtol=1e-12, atol=1e-12, err_msg=f"shared X, p={p}")
+        w = mask.astype(bool).ravel()
+        coef, *_ = np.linalg.lstsq(np.kron(xs[6], zs[6])[w], obs.y_rescaled.ravel()[w],
+                                   rcond=None)
+        np.testing.assert_allclose(got[6].ravel(), coef, atol=1e-8, err_msg=f"p={p}")
+
+
 def test_solve_b_rescales_by_p():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(6, 2))
