@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     except (EnumerationRefusal, BudgetError, ConstructionError) as exc:
         click.echo(f"refused: {exc}", err=True)
         return 3
-    except (ParameterError, ShapeError, ValueError, KeyError, TypeError,
+    except (ParameterError, ShapeError, ValueError, TypeError,
             OSError, json.JSONDecodeError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2

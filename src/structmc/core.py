@@ -344,9 +344,17 @@ def matrix_to_obj(a: np.ndarray) -> dict:
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": [float(v) for v in a.ravel()]}
 
 
+def _field(obj: dict, key: str, what: str):
+    """obj[key], or a ParameterError that names the missing key."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ParameterError(f"{what} JSON is missing required key {key!r}") from None
+
+
 def matrix_from_obj(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = np.asarray(obj["data"], dtype=float)
+    rows, cols = int(_field(obj, "rows", "matrix")), int(_field(obj, "cols", "matrix"))
+    data = np.asarray(_field(obj, "data", "matrix"), dtype=float)
     if data.size != rows * cols:
         raise ShapeError(f"matrix data has {data.size} entries, expected {rows * cols}")
     return data.reshape(rows, cols)
@@ -363,9 +371,10 @@ def observation_to_obj(obs: Observation) -> dict:
 
 def observation_from_obj(obj: dict) -> Observation:
     y = matrix_from_obj(obj)
-    mask = np.asarray(obj["mask"], dtype=float).reshape(y.shape)
+    mask = np.asarray(_field(obj, "mask", "observation"), dtype=float).reshape(y.shape)
     b = obj.get("b")
-    return Observation(y=y, mask=mask, p=float(obj["p"]), sigma=float(obj.get("sigma", 0.0)),
+    return Observation(y=y, mask=mask, p=float(_field(obj, "p", "observation")),
+                       sigma=float(obj.get("sigma", 0.0)),
                        b=None if b is None else float(b))
 
 
@@ -374,8 +383,8 @@ def factorization_to_obj(f: Factorization) -> dict:
 
 
 def factorization_from_obj(obj: dict) -> Factorization:
-    return Factorization(x=matrix_from_obj(obj["x"]), b=matrix_from_obj(obj["b"]),
-                         z=matrix_from_obj(obj["z"]))
+    x, b, z = (matrix_from_obj(_field(obj, key, "factorization")) for key in ("x", "b", "z"))
+    return Factorization(x=x, b=b, z=z)
 
 
 def _alphabet_to_obj(a: Alphabet) -> dict:
@@ -385,11 +394,13 @@ def _alphabet_to_obj(a: Alphabet) -> dict:
 
 
 def _alphabet_from_obj(obj: dict) -> Alphabet:
-    if obj["kind"] == "finite":
-        return Alphabet(kind="finite", values=tuple(float(v) for v in obj["values"]))
-    if obj["kind"] == "interval":
-        return Alphabet.interval(obj["lo"], obj["hi"])
-    raise ParameterError(f"unknown alphabet kind {obj['kind']!r}")
+    kind = _field(obj, "kind", "alphabet")
+    if kind == "finite":
+        return Alphabet(kind="finite",
+                        values=tuple(float(v) for v in _field(obj, "values", "alphabet")))
+    if kind == "interval":
+        return Alphabet.interval(_field(obj, "lo", "alphabet"), _field(obj, "hi", "alphabet"))
+    raise ParameterError(f"unknown alphabet kind {kind!r}")
 
 
 def spec_to_obj(spec: StructureSpec) -> dict:
@@ -404,11 +415,14 @@ def spec_to_obj(spec: StructureSpec) -> dict:
 
 
 def spec_from_obj(obj: dict) -> StructureSpec:
+    def req(key):
+        return _field(obj, key, "spec")
+
     return StructureSpec(
-        n=int(obj["n"]), m=int(obj["m"]), k_n=int(obj["k_n"]), k_m=int(obj["k_m"]),
-        s_n=int(obj["s_n"]), s_m=int(obj["s_m"]),
-        alphabet_n=_alphabet_from_obj(obj["alphabet_n"]),
-        alphabet_m=_alphabet_from_obj(obj["alphabet_m"]),
+        n=int(req("n")), m=int(req("m")), k_n=int(req("k_n")), k_m=int(req("k_m")),
+        s_n=int(req("s_n")), s_m=int(req("s_m")),
+        alphabet_n=_alphabet_from_obj(req("alphabet_n")),
+        alphabet_m=_alphabet_from_obj(req("alphabet_m")),
         b_max=float(obj.get("b_max", 1.0)), theta_mx=float(obj.get("theta_mx", 1.0)),
         bounded=bool(obj.get("bounded", False)),
     )

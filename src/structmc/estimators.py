@@ -357,15 +357,29 @@ def block_coordinate_ls(obs: Observation, spec: StructureSpec, cfg: SolverConfig
               else _candidate_rows(spec.k_m, spec.s_m, spec.alphabet_m, spec.bounded))
 
     pool = 1 if spec.s_n == 0 and spec.s_m == 0 else _INIT_POOL
+    interval_side = (spec.s_n > 0 and cand_x is None) or (spec.s_m > 0 and cand_z is None)
     best = None
     for r_idx in range(cfg.restarts):
         rng = stream(seed, PURPOSE_SOLVER, *path, r_idx)
-        xs, zs = [], []
-        for _ in range(pool):
-            xs.append(_init_factor(rng, spec.n, spec.k_n, spec.s_n, spec.alphabet_n,
-                                   spec.bounded, cand_x))
-            zs.append(_init_factor(rng, spec.m, spec.k_m, spec.s_m, spec.alphabet_m,
-                                   spec.bounded, cand_z))
+        if interval_side:
+            xs, zs = [], []
+            for _ in range(pool):
+                xs.append(_init_factor(rng, spec.n, spec.k_n, spec.s_n, spec.alphabet_n,
+                                       spec.bounded, cand_x))
+                zs.append(_init_factor(rng, spec.m, spec.k_m, spec.s_m, spec.alphabet_m,
+                                       spec.bounded, cand_z))
+        else:
+            # one integers call whose per-entry bounds give the per-draw
+            # stream of _init_factor: rows_x indices into cand_x, then
+            # rows_z into cand_z, for each draw in turn (an identity side
+            # draws nothing)
+            rows_x = spec.n if spec.s_n else 0
+            rows_z = spec.m if spec.s_m else 0
+            highs = np.repeat([len(cand_x) if rows_x else 1, len(cand_z) if rows_z else 1],
+                              [rows_x, rows_z])
+            idx = rng.integers(0, np.tile(highs, pool)).reshape(pool, rows_x + rows_z)
+            xs = cand_x[idx[:, :rows_x]] if spec.s_n else [np.eye(spec.n)] * pool
+            zs = cand_z[idx[:, rows_x:]] if spec.s_m else [np.eye(spec.m)] * pool
         # an identity side is shared by every draw: pass it as a batch of one
         bs = _solve_b(np.array(xs if spec.s_n else xs[:1]),
                       np.array(zs if spec.s_m else zs[:1]), mask, yp)

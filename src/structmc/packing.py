@@ -74,23 +74,36 @@ class HypothesisSet:
 
 def _greedy_select(candidates_iter, threshold: float, stop_at: int | None = None):
     """Accept candidates whose Hamming distance to every accepted vector is
-    >= threshold; sequential by construction."""
-    accepted: list[np.ndarray] = []
-    arr = None
+    >= threshold; sequential by construction.
+
+    Candidates must be 0/1 vectors. The distances from a candidate c to the
+    accepted rows are then |a| + |c| - 2 (a @ c), one matrix-vector product
+    that is exact in float64, so the accept decisions are those of the L1
+    distance. Each candidate is written into the next free row of a buffer
+    that doubles when full, and accepting it just advances the row count.
+    """
+    buf = weights = None
+    count = 0
     examined = 0
     for cand in candidates_iter:
         examined += 1
         if examined > _CANDIDATE_CAP:
             break
-        if accepted:
-            dists = np.sum(np.abs(arr - cand), axis=1)
-            if np.min(dists) < threshold:
-                continue
-        accepted.append(cand.astype(float))
-        arr = np.array(accepted)
-        if stop_at is not None and len(accepted) >= stop_at:
+        if buf is None:
+            buf, weights = np.empty((64, len(cand))), np.empty(64)
+        elif count == len(buf):
+            buf = np.concatenate([buf, np.empty_like(buf)])
+            weights = np.concatenate([weights, np.empty_like(weights)])
+        row = buf[count]
+        row[:] = cand
+        weight = row.sum()
+        if count and np.min(weights[:count] + weight - 2.0 * (buf[:count] @ row)) < threshold:
+            continue
+        weights[count] = weight
+        count += 1
+        if stop_at is not None and count >= stop_at:
             break
-    return accepted
+    return [] if buf is None else list(buf[:count])
 
 
 def _weight_s_candidates(k: int, s: int, rng):

@@ -149,14 +149,14 @@ def _pos(x: float) -> float:
     return max(0.0, x)
 
 
-def covering_bounds(spec: StructureSpec, u: float, epsilon: float) -> CoveringReport:
-    """The four metric-entropy upper bounds at radius u and scale epsilon.
+def _covering_terms(spec: StructureSpec, u: float):
+    """eps -> (R1, R2, R3, R4), shared by covering_bounds and covering_min_bound.
 
-    Requires a bounded spec (the bounds need b_max / the sup-norm caps).
-    Each displayed term is floored at 0 individually.
+    Validates u and the spec once and hoists every epsilon-free part (the
+    entropy terms, the coefficients and the numerators of the log
+    arguments); a call then checks eps and takes the logs, with the float
+    operations of the displayed formulas in their order.
     """
-    if not (0.0 < epsilon <= 1.0):
-        raise ParameterError(f"epsilon must lie in (0, 1], got {epsilon}")
     if not (0.0 < u <= 1.0):
         raise ParameterError(f"u must lie in (0, 1], got {u}")
     if not spec.bounded:
@@ -167,32 +167,54 @@ def covering_bounds(spec: StructureSpec, u: float, epsilon: float) -> CoveringRe
     b_max = spec.b_max
     root = math.sqrt(m * n)
 
-    def term(coef: float, log_arg: float) -> float:
-        # coef * ln(arg), floored at 0, with the 0 * ln(0) = 0 convention
-        if coef == 0:
-            return 0.0
-        if log_arg <= 0:
-            return 0.0
-        return _pos(coef * math.log(log_arg))
-
     ent_n = _pos(_sparse_term(n, s_n, spec.k_n))
     ent_m = _pos(_sparse_term(m, s_m, spec.k_m))
+    ent_nm = ent_n + ent_m
+    cross6 = 6 * b_max * root * s_m * s_n
+    cross2 = 2 * b_max * root * s_m * s_n
+    u9, u6, u3 = 9 * u, 6 * u, 3 * u
+    coef_cross, coef_b = n * s_n + m * s_m, r_n * r_m
+    coef_x, coef_z, coef_dense = n * r_m, m * r_n, m * n
+    coef_zs, coef_xs = m * s_m, n * s_n
 
-    r1 = (ent_n + ent_m
-          + term(n * s_n + m * s_m, 6 * b_max * root * s_m * s_n / epsilon)
-          + term(r_n * r_m, 9 * u / epsilon))
-    r2 = (term(n * r_m, 6 * u / epsilon) + ent_m
-          + term(m * s_m, 2 * b_max * root * s_m * s_n / epsilon))
-    r3 = (term(m * r_n, 6 * u / epsilon) + ent_n
-          + term(n * s_n, 2 * b_max * root * s_m * s_n / epsilon))
-    r4 = term(m * n, 3 * u / epsilon)
+    def term(coef: float, num: float, epsilon: float) -> float:
+        # coef * ln(num / epsilon), floored at 0, with the 0 * ln(0) = 0
+        # convention; num / epsilon <= 0 exactly when num <= 0
+        if coef == 0 or num <= 0:
+            return 0.0
+        return _pos(coef * math.log(num / epsilon))
+
+    def terms(epsilon: float) -> tuple[float, float, float, float]:
+        if not (0.0 < epsilon <= 1.0):
+            raise ParameterError(f"epsilon must lie in (0, 1], got {epsilon}")
+        r1 = ent_nm + term(coef_cross, cross6, epsilon) + term(coef_b, u9, epsilon)
+        r2 = term(coef_x, u6, epsilon) + ent_m + term(coef_zs, cross2, epsilon)
+        r3 = term(coef_z, u6, epsilon) + ent_n + term(coef_xs, cross2, epsilon)
+        r4 = term(coef_dense, u3, epsilon)
+        return r1, r2, r3, r4
+
+    return terms
+
+
+def covering_bounds(spec: StructureSpec, u: float, epsilon: float) -> CoveringReport:
+    """The four metric-entropy upper bounds at radius u and scale epsilon.
+
+    Requires a bounded spec (the bounds need b_max / the sup-norm caps).
+    Each displayed term is floored at 0 individually.
+    """
+    r1, r2, r3, r4 = _covering_terms(spec, u)(epsilon)
     return CoveringReport(r1=r1, r2=r2, r3=r3, r4=r4, epsilon=epsilon, u=u)
 
 
 def covering_min_bound(spec: StructureSpec, u: float):
-    """Callable eps -> min(R1..R4)(eps), the surrogate fed to critical_radius."""
+    """Callable eps -> min(R1..R4)(eps), the surrogate fed to critical_radius.
+
+    u and the spec are validated here, once; each call checks only eps.
+    """
+    terms = _covering_terms(spec, u)
+
     def fn(eps: float) -> float:
-        return covering_bounds(spec, u, eps).min_bound
+        return min(terms(eps))
     return fn
 
 

@@ -341,3 +341,24 @@ def test_missing_subcommand_is_config_error(capsys):
 def test_missing_file_is_config_error(capsys):
     assert main(["estimate", "--method", "bcd", "--obs", "/nosuch.json",
                  "--spec", "/nosuch.json"]) == 2
+
+
+def test_spec_missing_key_is_config_error_naming_it(tmp_path, capsys):
+    spec = write_spec(tmp_path)
+    obj = json.loads(open(spec).read())
+    del obj["k_n"]
+    with open(spec, "w") as fh:
+        json.dump(obj, fh)
+    assert main(["rates", "--spec", spec]) == 2
+    assert "'k_n'" in capsys.readouterr().err
+
+
+def test_key_error_from_a_bug_is_not_a_config_error(tmp_path, monkeypatch):
+    import structmc.cli as cli_mod
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli_mod, "rate_components", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["rates", "--spec", write_spec(tmp_path)])

@@ -1,5 +1,7 @@
 """Class descriptions, factorizations, assembly, and membership checks."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +18,16 @@ from structmc import (
     norms,
     spectral_norm,
     validate_membership,
+)
+from structmc.core import (
+    factorization_from_obj,
+    factorization_to_obj,
+    matrix_from_obj,
+    matrix_to_obj,
+    observation_from_obj,
+    observation_to_obj,
+    spec_from_obj,
+    spec_to_obj,
 )
 
 from conftest import BINARY, SYMMETRIC, member_of, small_specs
@@ -200,3 +212,42 @@ def test_observation_rejects_non_finite_observed_entries(bad):
     y[1, 2] = bad
     with pytest.raises(ParameterError, match="finite"):
         Observation(y=y, mask=np.ones((3, 4)), p=1.0)
+
+
+# ---- JSON loaders --------------------------------------------------------- #
+
+def _drop(obj, path):
+    """A deep copy of obj without the key at the end of path."""
+    out = copy.deepcopy(obj)
+    inner = out
+    for key in path[:-1]:
+        inner = inner[key]
+    del inner[path[-1]]
+    return out
+
+
+@pytest.mark.parametrize("loader, path", [
+    ("matrix", ("cols",)),
+    ("observation", ("mask",)),
+    ("observation", ("p",)),
+    ("factorization", ("z",)),
+    ("factorization", ("b", "data")),
+    ("spec", ("k_n",)),
+    ("spec", ("alphabet_m",)),
+    ("spec", ("alphabet_n", "values")),
+    ("spec", ("alphabet_m", "kind")),
+])
+def test_loaders_name_a_missing_key(loader, path):
+    mat = np.arange(6.0).reshape(2, 3)
+    objs = {
+        "matrix": (matrix_to_obj(mat), matrix_from_obj),
+        "observation": (observation_to_obj(Observation(y=mat, mask=np.ones((2, 3)), p=1.0)),
+                        observation_from_obj),
+        "factorization": (factorization_to_obj(Factorization(x=np.eye(2), b=mat, z=np.eye(3))),
+                          factorization_from_obj),
+        "spec": (spec_to_obj(binary_spec()), spec_from_obj),
+    }
+    obj, load = objs[loader]
+    load(obj)  # the complete object loads
+    with pytest.raises(ParameterError, match=repr(path[-1])):
+        load(_drop(obj, path))

@@ -18,6 +18,8 @@ from structmc import (
     sign_embedding,
     sparse_binary_packing,
 )
+from structmc.packing import _greedy_select, _weight_s_candidates
+from structmc.simulate import PURPOSE_PACKING, stream
 
 from conftest import BINARY
 
@@ -204,3 +206,78 @@ def test_t_b_deterministic():
     b = build_t_b(spec, sigma=1.0, p=0.9, c0=0.5, seed=6, cap=8)
     for ta, tb in zip(a.thetas, b.thetas):
         np.testing.assert_array_equal(ta, tb)
+
+
+# ---- the greedy against its sequential reference ------------------------------ #
+
+def sequential_greedy(candidates, threshold, stop_at=None, cap=1 << 20):
+    """Reference greedy: the L1 distance to every accepted vector, recomputed
+    from scratch for each candidate."""
+    accepted = []
+    for examined, cand in enumerate(candidates, start=1):
+        if examined > cap:
+            break
+        if accepted and np.min(np.sum(np.abs(np.array(accepted) - cand), axis=1)) < threshold:
+            continue
+        accepted.append(cand.astype(float))
+        if stop_at is not None and len(accepted) >= stop_at:
+            break
+    return accepted
+
+
+def same_bytes(got, want):
+    assert len(got) == len(want)
+    assert all(np.asarray(g).tobytes() == np.asarray(w).tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("k, s, seed", [(24, 3, 1), (12, 3, 0), (20, 4, 9), (10, 2, 4)])
+def test_packing_matches_sequential_greedy(k, s, seed):
+    cands = _weight_s_candidates(k, s, stream(seed, PURPOSE_PACKING, 0))
+    want = sequential_greedy(cands, threshold=0.5 * s)
+    got = sparse_binary_packing(k, s, seed=seed).codewords
+    same_bytes(got, want)
+    assert got.shape == (len(want), k)
+
+
+@pytest.mark.parametrize("k_n, k_m, seed, cap", [
+    (4, 5, 0, 64),    # r_n r_m = 20: every 0/1 matrix enumerated in random order
+    (4, 4, 3, 16),    # r_n r_m = 16: the smallest enumerated grid
+    (6, 6, 2, 16),    # r_n r_m = 36: sampled candidates
+    (5, 6, 7, 64),    # r_n r_m = 30: sampled, up to 64 hypotheses
+])
+def test_t_b_matches_sequential_greedy(k_n, k_m, seed, cap):
+    spec = packing_spec(n=12, m=12, k_n=k_n, k_m=k_m, s_n=1, s_m=1)
+    sigma, p, c0 = 1.0, 0.7, 0.8
+    hs = build_t_b(spec, sigma=sigma, p=p, c0=c0, seed=seed, cap=cap)
+    dim = spec.r_n * spec.r_m
+    rng = stream(seed, PURPOSE_PACKING, 2)
+    if dim <= 20:
+        cands = (((i >> np.arange(dim)) & 1).astype(float) for i in rng.permutation(1 << dim))
+    else:
+        cands = (rng.integers(0, 2, size=dim).astype(float) for _ in range(1 << 20))
+    codes = sequential_greedy(cands, threshold=dim / 8.0, stop_at=cap)
+    x0, z0 = np.eye(spec.n, spec.k_n), np.eye(spec.m, spec.k_m)
+    want = []
+    for code in codes:
+        b = np.zeros((spec.k_n, spec.k_m))
+        b[:spec.r_n, :spec.r_m] = hs.delta * code.reshape(spec.r_n, spec.r_m)
+        want.append(x0 @ b @ z0.T)
+    assert hs.delta == math.sqrt(c0 * sigma ** 2 / p)
+    same_bytes(hs.thetas, want)
+
+
+def test_greedy_select_stop_at_short_stream_and_growth():
+    rng = np.random.default_rng(3)
+    many = rng.integers(0, 2, size=(600, 9)).astype(float)
+    # threshold 1 accepts every distinct vector: the buffer grows past 64, 128, 256
+    same_bytes(_greedy_select(iter(many), threshold=1.0), sequential_greedy(many, 1.0))
+    unstopped = len(sequential_greedy(many, 2.0))
+    for stop_at in (1, 5, 64, 65, unstopped, unstopped + 1):
+        got = _greedy_select(iter(many), threshold=2.0, stop_at=stop_at)
+        same_bytes(got, sequential_greedy(many, 2.0, stop_at=stop_at))
+        assert len(got) == min(stop_at, unstopped)
+    few = many[:5]
+    same_bytes(_greedy_select(iter(few), threshold=3.0), sequential_greedy(few, 3.0))
+    assert _greedy_select(iter(()), threshold=1.0) == []
+    # a single candidate is accepted unconditionally
+    same_bytes(_greedy_select(iter(many[:1]), threshold=100.0), [many[0]])

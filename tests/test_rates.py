@@ -191,6 +191,69 @@ def test_covering_monotone_in_epsilon_and_u(i):
     assert hi >= lo - 1e-9
 
 
+EXACTNESS_SPECS = [
+    (bounded_spec(2, 2, 2, 2, 1, 1), 0.2),                 # dense log floored above eps 0.6
+    (bounded_spec(40, 40, 5, 5, 2, 3, b_max=1e-3), 1.0),   # cross logs floored above eps 0.48
+    (bounded_spec(32, 24, 3, 3, 1, 1), 0.7),
+    (StructureSpec(n=20, m=30, k_n=20, k_m=5, s_n=0, s_m=2,       # identity X side
+                   alphabet_n=BINARY, alphabet_m=SYMMETRIC,
+                   b_max=1.0, theta_mx=1.0, bounded=True), 1.0),
+    (StructureSpec(n=6, m=12, k_n=6, k_m=12, s_n=3, s_m=0,        # identity Z side
+                   alphabet_n=SYMMETRIC, alphabet_m=BINARY,
+                   b_max=3.0, theta_mx=9.0, bounded=True), 0.3),
+]
+
+
+def transcribed_covering(spec, u, eps):
+    """R1..R4 as displayed, every part recomputed at each eps."""
+    n, m, s_n, s_m = spec.n, spec.m, spec.s_n, spec.s_m
+    r_n, r_m, b_max = spec.r_n, spec.r_m, spec.b_max
+    root = math.sqrt(m * n)
+
+    def term(coef, arg):
+        return 0.0 if coef == 0 or arg <= 0 else max(0.0, coef * math.log(arg))
+
+    def ent(rows, s, k):
+        return 0.0 if s == 0 else max(0.0, rows * s * math.log(math.e * k / s))
+
+    ent_n, ent_m = ent(n, s_n, spec.k_n), ent(m, s_m, spec.k_m)
+    r1 = (ent_n + ent_m + term(n * s_n + m * s_m, 6 * b_max * root * s_m * s_n / eps)
+          + term(r_n * r_m, 9 * u / eps))
+    r2 = term(n * r_m, 6 * u / eps) + ent_m + term(m * s_m, 2 * b_max * root * s_m * s_n / eps)
+    r3 = term(m * r_n, 6 * u / eps) + ent_n + term(n * s_n, 2 * b_max * root * s_m * s_n / eps)
+    r4 = term(m * n, 3 * u / eps)
+    return r1, r2, r3, r4
+
+
+@pytest.mark.parametrize("spec, u", EXACTNESS_SPECS)
+def test_covering_min_bound_equals_report_exactly(spec, u):
+    fn = covering_min_bound(spec, u)
+    for eps in np.logspace(-8.0, 0.0, 200):
+        eps = float(eps)
+        report = covering_bounds(spec, u, eps)
+        assert fn(eps) == report.min_bound
+        assert (report.r1, report.r2, report.r3, report.r4) == transcribed_covering(spec, u, eps)
+
+
+@pytest.mark.parametrize("spec, u, want", [
+    (bounded_spec(32, 24, 3, 3, 1, 1), 0.7, 0.6598468163529279),
+    (EXACTNESS_SPECS[3][0], 1.0, 0.735792246713241),
+    (bounded_spec(40, 40, 5, 5, 2, 3, b_max=0.1), 1.0, 0.7506856652438638),
+])
+def test_critical_radius_recorded_values(spec, u, want):
+    # recorded with repr() before the covering terms were hoisted
+    assert critical_radius(spec.n * spec.m, covering_min_bound(spec, u)) == want
+
+
+def test_covering_min_bound_checks_epsilon_domain():
+    fn = covering_min_bound(bounded_spec(2, 2, 2, 2, 1, 1), 1.0)
+    for bad_eps in (0.0, 1.0 + 1e-12, 1.1, -0.5):
+        with pytest.raises(ParameterError, match="epsilon"):
+            fn(bad_eps)
+    with pytest.raises(ParameterError):
+        covering_min_bound(bounded_spec(2, 2, 2, 2, 1, 1), 0.0)
+
+
 # ---- critical radius ------------------------------------------------------ #
 
 def test_critical_radius_constant_cover_closed_form():
