@@ -17,6 +17,7 @@ logged as a warning on the "structmc.bench" logger with its class and message.
 
 from __future__ import annotations
 
+import inspect
 import logging
 import math
 import time
@@ -169,12 +170,22 @@ def bench_config_from_obj(obj: dict) -> BenchConfig:
         )
     except KeyError as exc:
         raise ParameterError(f"bench config is missing required key {exc}") from exc
+    except ParameterError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed bench config: {exc}") from exc
 
 
 def _family_for(name: str, args: tuple) -> ModelFamily:
+    """The named ModelFamily constructor applied to args, which must match
+    its parameter list."""
     ctor = getattr(ModelFamily, name, None)
     if name.startswith("_") or not callable(ctor):
         raise ParameterError(f"unknown family {name!r}")
+    try:
+        inspect.signature(ctor).bind(*args)
+    except TypeError as exc:
+        raise ParameterError(f"family {name!r}: {exc}") from exc
     return ctor(*args)
 
 

@@ -14,7 +14,7 @@ import sys
 
 import click
 
-from .bench import BudgetError, bench_config_from_obj, rows_to_csv, run_experiment, summarize
+from .bench import BudgetError, _family_for, bench_config_from_obj, rows_to_csv, run_experiment, summarize
 from .core import (
     ParameterError,
     ShapeError,
@@ -39,12 +39,15 @@ from .estimators import (
 )
 from .packing import (
     ConstructionError,
+    DegenerateSetError,
     build_t_b,
     build_t_z,
     sign_embedding,
     sparse_binary_packing,
 )
 from .rates import (
+    NoCrossingError,
+    UnsupportedFamilyError,
     covering_bounds,
     covering_min_bound,
     critical_radius,
@@ -81,7 +84,7 @@ def _build_family(name: str, args_csv: str | None, spec_file: str | None) -> Mod
         return ModelFamily.generic(spec_from_obj(load_json(spec_file)))
     if not args_csv:
         raise ParameterError(f"family {name!r} needs --args (constructor integers)")
-    return getattr(ModelFamily, name)(*_parse_ints(args_csv))
+    return _family_for(name, _parse_ints(args_csv))
 
 
 def _build_noise(kind: str, sigma: float, scale: float, b: float | None) -> NoiseKind:
@@ -286,6 +289,8 @@ def packing_cmd(kind, spec_file, sigma, p, c0, cap, k, s, r, vectors_file, max_r
 def bench_cmd(config_file, out, timing):
     """Run a Monte Carlo experiment from a JSON config."""
     obj = load_json(config_file)
+    if not isinstance(obj, dict):
+        raise ParameterError("bench config must be a JSON object")
     if out is not None:
         obj["out"] = out
     if timing is not None:
@@ -313,8 +318,8 @@ def main(argv=None) -> int:
     except (EnumerationRefusal, BudgetError, ConstructionError) as exc:
         click.echo(f"refused: {exc}", err=True)
         return 3
-    except (ParameterError, ShapeError, ValueError, TypeError,
-            OSError, json.JSONDecodeError) as exc:
+    except (ParameterError, ShapeError, DegenerateSetError, NoCrossingError,
+            UnsupportedFamilyError, OSError, json.JSONDecodeError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
     return 0

@@ -8,6 +8,7 @@ Everything is immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -352,6 +353,23 @@ def _field(obj: dict, key: str, what: str):
         raise ParameterError(f"{what} JSON is missing required key {key!r}") from None
 
 
+def _loader(what: str):
+    """Report a value of the wrong type or form in a loaded JSON object as a
+    ParameterError naming the object; the package's own errors pass."""
+    def wrap(load):
+        @functools.wraps(load)
+        def checked(obj):
+            try:
+                return load(obj)
+            except (ParameterError, ShapeError):
+                raise
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"malformed {what} JSON: {exc}") from exc
+        return checked
+    return wrap
+
+
+@_loader("matrix")
 def matrix_from_obj(obj: dict) -> np.ndarray:
     rows, cols = int(_field(obj, "rows", "matrix")), int(_field(obj, "cols", "matrix"))
     data = np.asarray(_field(obj, "data", "matrix"), dtype=float)
@@ -369,6 +387,7 @@ def observation_to_obj(obs: Observation) -> dict:
     return out
 
 
+@_loader("observation")
 def observation_from_obj(obj: dict) -> Observation:
     y = matrix_from_obj(obj)
     mask = np.asarray(_field(obj, "mask", "observation"), dtype=float).reshape(y.shape)
@@ -414,6 +433,7 @@ def spec_to_obj(spec: StructureSpec) -> dict:
     }
 
 
+@_loader("spec")
 def spec_from_obj(obj: dict) -> StructureSpec:
     def req(key):
         return _field(obj, key, "spec")

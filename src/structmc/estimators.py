@@ -5,9 +5,10 @@ penalized selector.
 The combinatorial search only ever ranges over (X, Z): the middle factor is
 unconstrained, so B is profiled out in closed form by masked least squares,
 one normal-equations solve on the (k_n k_m)-square Gram of the masked design
-(minimum-Frobenius-norm solution). The cutoff _RCOND applies to the Gram's
-singular values, so design singular values below sqrt(_RCOND) * sigma_max
-(1e-5 relative) are treated as zero.
+(minimum-Frobenius-norm solution). The Gram is symmetric PSD and is solved by
+its eigendecomposition (eigh); the cutoff _RCOND applies to its eigenvalues,
+so design singular values below sqrt(_RCOND) * sigma_max (1e-5 relative) are
+treated as zero.
 """
 
 from __future__ import annotations
@@ -141,8 +142,21 @@ def _solve_b(x: np.ndarray, z: np.ndarray, mask: np.ndarray, yp: np.ndarray) -> 
     g = g.reshape(c, k_n, k_n, k_m, k_m).transpose(0, 1, 3, 2, 4)
     rhs = (x.transpose(0, 2, 1) @ yp) @ z
     kk = k_n * k_m
-    b = np.linalg.pinv(g.reshape(c, kk, kk), rcond=_RCOND) @ rhs.reshape(c, kk, 1)
-    return b.reshape(c, k_n, k_m)
+    return _psd_solve(g.reshape(c, kk, kk), rhs.reshape(c, kk, 1)).reshape(c, k_n, k_m)
+
+
+def _psd_solve(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm solutions of a stack of symmetric PSD systems g v = rhs,
+    g of shape (c, k, k) and rhs of shape (c, k, r).
+
+    One eigh call covers the stack; eigenvalues <= _RCOND * largest count as
+    zero (pinv's cutoff), so an all-zero Gram gives 0. The inverse is never
+    formed: v = U diag(1/w) U^T rhs on the kept eigenpairs.
+    """
+    w, u = np.linalg.eigh(g)
+    keep = w > _RCOND * w[:, -1:]
+    winv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    return u @ (winv[:, :, None] * (u.transpose(0, 2, 1) @ rhs))
 
 
 def solve_b_given_xz(obs: Observation, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -227,13 +241,6 @@ def exact_least_squares(obs: Observation, spec: StructureSpec, cfg: SolverConfig
 
 # ---------- block coordinate descent ---------- #
 
-def _row_objs(y, mask, p_rows, rows):
-    """Masked squared residual of each row given its factor row (batched)."""
-    fit = rows @ p_rows
-    r = mask * (y - fit)
-    return np.sum(r * r, axis=1)
-
-
 def _update_rows_finite(y, mask, p_rows, cand):
     """Exact per-row argmin over candidate rows; valid because the masked
     residual decomposes across rows given the other factors."""
@@ -274,6 +281,7 @@ def _update_rows_interval(y, mask, p_rows, rows_cur, s, lo, hi):
         return base - 2.0 * np.sum(v * c, axis=1) + np.einsum("ik,ikl,il->i", v, g, v)
 
     def solve(gs, cs):
+        # still pinv: a faster solve here waits on perfbench keeping one unit at a time (ROADMAP)
         # minimum-norm solutions of gs[i, t] v = cs[i, t], rows i, supports t
         if shared:
             return np.einsum("tkl,itl->itk", np.linalg.pinv(gs[0], rcond=_RCOND), cs)

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _CANDIDATE_CAP = 1 << 20
+_CERTIFY_BLOCK = 256
 _DEFAULT_CONSTANTS = (0.1, 0.5, 0.5)
 
 
@@ -121,6 +122,23 @@ def _weight_s_candidates(k: int, s: int, rng):
             yield row
 
 
+def _min_separation(codewords: np.ndarray, weights: np.ndarray) -> float:
+    """Smallest squared distance over the row pairs i < j of the 0/1 matrix
+    codewords (inf for fewer than two rows), by direct check.
+
+    Rows are taken in blocks of _CERTIFY_BLOCK, each against itself and every
+    later row, so memory is O(block * count) rather than O(count^2).
+    """
+    count = len(codewords)
+    sep = np.inf
+    for lo in range(0, count - 1, _CERTIFY_BLOCK):
+        hi = min(lo + _CERTIFY_BLOCK, count)
+        sq = weights[lo:hi, None] + weights[None, lo:] - 2 * (codewords[lo:hi] @ codewords[lo:].T)
+        sq[np.tril_indices(hi - lo)] = np.inf     # each pair once, no self-pairs
+        sep = min(sep, np.min(sq))
+    return sep
+
+
 def sparse_binary_packing(k: int, s: int,
                           target_c: tuple[float, float, float] = _DEFAULT_CONSTANTS,
                           seed: int = 0) -> BinaryPacking:
@@ -150,11 +168,9 @@ def sparse_binary_packing(k: int, s: int,
     weights = np.sum(codewords, axis=1)
     if np.any(weights < c2 * s) or np.any(weights > s):
         raise ConstructionError("codeword weight outside [c2*s, s]")
-    gram = codewords @ codewords.T
-    sq = weights[:, None] + weights[None, :] - 2 * gram
-    np.fill_diagonal(sq, np.inf)
-    if np.min(sq) < c3 * s:
-        raise ConstructionError(f"pairwise separation {np.min(sq)} < {c3 * s}")
+    sep = _min_separation(codewords, weights)
+    if sep < c3 * s:
+        raise ConstructionError(f"pairwise separation {sep} < {c3 * s}")
     return BinaryPacking(k=k, s=s, codewords=codewords, constants=tuple(target_c))
 
 

@@ -154,8 +154,8 @@ def _covering_terms(spec: StructureSpec, u: float):
 
     Validates u and the spec once and hoists every epsilon-free part (the
     entropy terms, the coefficients and the numerators of the log
-    arguments); a call then checks eps and takes the logs, with the float
-    operations of the displayed formulas in their order.
+    arguments) and drops the log terms that vanish for every eps; a call
+    then checks eps and takes the remaining logs.
     """
     if not (0.0 < u <= 1.0):
         raise ParameterError(f"u must lie in (0, 1], got {u}")
@@ -177,21 +177,32 @@ def _covering_terms(spec: StructureSpec, u: float):
     coef_x, coef_z, coef_dense = n * r_m, m * r_n, m * n
     coef_zs, coef_xs = m * s_m, n * s_n
 
-    def term(coef: float, num: float, epsilon: float) -> float:
-        # coef * ln(num / epsilon), floored at 0, with the 0 * ln(0) = 0
-        # convention; num / epsilon <= 0 exactly when num <= 0
-        if coef == 0 or num <= 0:
-            return 0.0
-        return _pos(coef * math.log(num / epsilon))
+    def active(*pairs):
+        # a term coef * ln(num / eps) is 0 for every eps when coef = 0 (the
+        # 0 * ln(0) = 0 convention) or num <= 0 (the argument is <= 0)
+        return tuple((coef, num) for coef, num in pairs if coef != 0 and num > 0)
 
-    def terms(epsilon: float) -> tuple[float, float, float, float]:
+    # R = entropy part, then its log terms left to right, each floored at 0.
+    # Float addition is commutative and adding 0.0 is exact, so starting from
+    # the entropy part and skipping floored or inactive terms gives the
+    # displayed formulas' values bit for bit.
+    parts = ((ent_nm, active((coef_cross, cross6), (coef_b, u9))),
+             (ent_m, active((coef_x, u6), (coef_zs, cross2))),
+             (ent_n, active((coef_z, u6), (coef_xs, cross2))),
+             (0.0, active((coef_dense, u3))))
+    log = math.log
+
+    def terms(epsilon: float) -> list[float]:
         if not (0.0 < epsilon <= 1.0):
             raise ParameterError(f"epsilon must lie in (0, 1], got {epsilon}")
-        r1 = ent_nm + term(coef_cross, cross6, epsilon) + term(coef_b, u9, epsilon)
-        r2 = term(coef_x, u6, epsilon) + ent_m + term(coef_zs, cross2, epsilon)
-        r3 = term(coef_z, u6, epsilon) + ent_n + term(coef_xs, cross2, epsilon)
-        r4 = term(coef_dense, u3, epsilon)
-        return r1, r2, r3, r4
+        out = []
+        for r, logs in parts:
+            for coef, num in logs:
+                v = coef * log(num / epsilon)
+                if v > 0.0:
+                    r += v
+            out.append(r)
+        return out
 
     return terms
 

@@ -362,3 +362,31 @@ def test_key_error_from_a_bug_is_not_a_config_error(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_mod, "rate_components", broken)
     with pytest.raises(KeyError, match="internal"):
         main(["rates", "--spec", write_spec(tmp_path)])
+
+
+@pytest.mark.parametrize("exc", [TypeError, ValueError])
+def test_type_error_from_a_bug_is_not_a_config_error(tmp_path, monkeypatch, exc):
+    import structmc.cli as cli_mod
+
+    def broken(*args, **kwargs):
+        raise exc("internal")
+
+    monkeypatch.setattr(cli_mod, "rate_components", broken)
+    with pytest.raises(exc, match="internal"):
+        main(["rates", "--spec", write_spec(tmp_path)])
+
+
+def test_malformed_values_are_config_errors_at_parse_time(tmp_path, capsys):
+    assert main(["rates", "--spec", write_spec(tmp_path, n="four")]) == 2
+    assert "malformed spec JSON" in capsys.readouterr().err
+    assert main(["rates", "--spec", write_spec(tmp_path, alphabet_n={"kind": "finite",
+                                                                    "values": 3})]) == 2
+    assert "malformed spec JSON" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    for bad in (bench_config_obj(replicas="two"), bench_config_obj(grid=[8]),
+                bench_config_obj(grid=[[8, 2, 1]]), [bench_config_obj()]):
+        cfg.write_text(json.dumps(bad))
+        assert main(["bench", "--config", str(cfg)]) == 2
+        assert "error:" in capsys.readouterr().err
+    assert main(["gen", "--family", "mixture", "--args", "4,4"]) == 2
+    assert "'mixture'" in capsys.readouterr().err

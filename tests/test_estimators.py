@@ -125,6 +125,56 @@ def test_solve_b_rank_deficient_matches_min_norm_lstsq():
                                            err_msg=f"{label}, p={p}, trial {trial}")
 
 
+def psd_stacks(rng):
+    """(label, designs) stacks of equal width; each Gram is design^T design."""
+    yield "full rank, scales 1e-4..1e3", [rng.normal(size=(20, 6)) * c for c in (1e-4, 1.0, 1e3)]
+    for p in (1.0, 0.5):
+        by_width = {}
+        for label, x, z, keep in rank_deficient_factors(rng):
+            mask = rng.random((x.shape[0], z.shape[0])) < p
+            if keep is not None:
+                mask &= keep
+            design = np.kron(x, z)[mask.ravel()]
+            by_width.setdefault(design.shape[1], [rng.normal(size=design.shape)]).append(design)
+        for width, designs in by_width.items():
+            yield f"rank deficient, p={p}, width {width}", designs
+
+
+def test_psd_solve_matches_pinv_and_min_norm_lstsq():
+    # one call per stack, each Gram with its own cutoff: a full-rank Gram
+    # next to rank-deficient ones whose near-null directions (rounding noise
+    # ~1e-16 of the largest eigenvalue) must count as zero
+    rng = np.random.default_rng(17)
+    for label, designs in psd_stacks(rng):
+        targets = [rng.normal(size=(len(d), 2)) for d in designs]
+        g = np.array([d.T @ d for d in designs])
+        rhs = np.array([d.T @ t for d, t in zip(designs, targets)])
+        got = est._psd_solve(g, rhs)
+        assert got.shape == rhs.shape
+        for i, (d, t) in enumerate(zip(designs, targets)):
+            want = np.linalg.pinv(g[i], rcond=1e-10) @ rhs[i]
+            coef, *_ = np.linalg.lstsq(d, t, rcond=None)
+            atol = 1e-8 * np.abs(want).max()
+            np.testing.assert_allclose(got[i], want, rtol=0, atol=atol, err_msg=f"{label}, {i}")
+            np.testing.assert_allclose(got[i], coef, rtol=0, atol=atol, err_msg=f"{label}, {i}")
+
+
+def test_psd_solve_zero_and_negative_roundoff_grams():
+    rng = np.random.default_rng(23)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    w = np.array([-3e-15, 0.25, 1.0, 30.0])            # a roundoff-negative eigenvalue
+    g = np.array([np.zeros((4, 4)), (u * w) @ u.T])
+    g[1] = 0.5 * (g[1] + g[1].T)
+    assert np.linalg.eigvalsh(g[1])[0] < 0
+    rhs = rng.normal(size=(2, 4, 1))
+    got = est._psd_solve(g, rhs)
+    np.testing.assert_array_equal(got[0], 0.0)             # all-zero Gram: B = 0
+    np.testing.assert_allclose(got[1], np.linalg.pinv(g[1], rcond=1e-10) @ rhs[1],
+                               rtol=1e-10, atol=1e-12)
+    # the negative direction is dropped, not inverted
+    assert abs(float(u[:, 0] @ got[1][:, 0])) < 1e-10
+
+
 def test_solve_b_batches_x_and_z_like_single_solves():
     # one batched call over (X, Z) pairs equals one solve per pair, with a
     # batch of one broadcast against the other side; the empty-cluster pair

@@ -18,7 +18,8 @@ from structmc import (
     sign_embedding,
     sparse_binary_packing,
 )
-from structmc.packing import _greedy_select, _weight_s_candidates
+import structmc.packing as packing_mod
+from structmc.packing import _greedy_select, _min_separation, _weight_s_candidates
 from structmc.simulate import PURPOSE_PACKING, stream
 
 from conftest import BINARY
@@ -281,3 +282,48 @@ def test_greedy_select_stop_at_short_stream_and_growth():
     assert _greedy_select(iter(()), threshold=1.0) == []
     # a single candidate is accepted unconditionally
     same_bytes(_greedy_select(iter(many[:1]), threshold=100.0), [many[0]])
+
+
+# ---- the blocked separation certificate ---------------------------------------- #
+
+def dense_min_separation(codes):
+    """Reference: the full A x A squared-distance matrix, diagonal excluded."""
+    weights = codes.sum(axis=1)
+    sq = weights[:, None] + weights[None, :] - 2 * (codes @ codes.T)
+    np.fill_diagonal(sq, np.inf)
+    return np.min(sq)
+
+
+@pytest.mark.parametrize("rows", [257, 301, 512, 700])
+def test_blocked_separation_equals_dense_minimum(rows):
+    assert packing_mod._CERTIFY_BLOCK == 256
+    codes = sparse_binary_packing(24, 3, seed=1).codewords        # 2,024 rows
+    assert _min_separation(codes, codes.sum(axis=1)) == dense_min_separation(codes) == 2.0
+    # random 0/1 rows (repeats and all-zero rows included) past one block
+    rng = np.random.default_rng(rows)
+    for density in (0.1, 0.5):
+        random_codes = (rng.random((rows, 11)) < density).astype(float)
+        assert _min_separation(random_codes, random_codes.sum(axis=1)) \
+            == dense_min_separation(random_codes)
+    # one repeated row: the only pair at distance 0, inside a block or across one
+    for i, j in ((0, 1), (3, 100), (255, 256), (3, 300), (rows - 2, rows - 1)):
+        if j < rows:
+            near = codes[:rows].copy()
+            near[j] = near[i]
+            assert _min_separation(near, near.sum(axis=1)) == dense_min_separation(near) == 0.0
+
+
+@pytest.mark.parametrize("i, j", [(3, 100), (3, 300), (255, 256), (2022, 2023)])
+def test_certificate_rejects_a_single_too_close_pair(monkeypatch, i, j):
+    # rows i and j of the (24, 3) packing made identical: (3, 100) and
+    # (2022, 2023) lie inside one block, (3, 300) and (255, 256) across blocks
+    greedy = packing_mod._greedy_select
+
+    def tampered(*args, **kwargs):
+        rows = greedy(*args, **kwargs)
+        rows[j] = rows[i].copy()
+        return rows
+
+    monkeypatch.setattr(packing_mod, "_greedy_select", tampered)
+    with pytest.raises(ConstructionError, match=r"pairwise separation 0\.0 < 1\.5"):
+        sparse_binary_packing(24, 3, seed=1)
