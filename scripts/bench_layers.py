@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the B-solve and the oracle and theory paths.
+"""Per-layer timings of the B-solve, one bcd fit, and the oracle and theory paths.
 
-Times four layers, each as the minimum over --repeat calls on fixed seeds:
+Times five layers, each as the minimum over --repeat calls on fixed seeds:
 
     b_solve        solve_b_given_xz on a block model, n = m = 320, k = 10, p = 0.5
+    bcd            block_coordinate_ls on a block model, n = m = 80, k = 3, p = 1,
+                   5 restarts
     exact          exact_least_squares on a block model, n = 5, k = 2, p = 0.8
     critical_radius  the covering surrogate's fixed point on a 32 x 24 bounded
                    class with interval alphabets, k = 3, s = 1, u = 0.5
@@ -47,9 +49,9 @@ def parse_args(argv):
 def layers(seed):
     """name -> (zero-argument call, fingerprint of its output)."""
     from structmc import (
-        Alphabet, NoiseKind, ModelFamily, SolverConfig, StructureSpec, assemble, critical_radius,
-        covering_min_bound, exact_least_squares, generate, observe, sample_mask,
-        sample_noise, solve_b_given_xz, sparse_binary_packing,
+        Alphabet, NoiseKind, ModelFamily, SolverConfig, StructureSpec, assemble,
+        block_coordinate_ls, critical_radius, covering_min_bound, exact_least_squares,
+        generate, observe, sample_mask, sample_noise, solve_b_given_xz, sparse_binary_packing,
     )
 
     def observed(n, k, p):
@@ -61,6 +63,8 @@ def layers(seed):
         return fact, spec, obs
 
     fact, _, obs = observed(320, 10, 0.5)
+    _, bcd_spec, bcd_obs = observed(80, 3, 1.0)
+    bcd_cfg = SolverConfig(restarts=5)
     _, tiny_spec, tiny_obs = observed(5, 2, 0.8)
     exact_cfg = SolverConfig(exhaustive_limit=10 ** 7)
     interval = Alphabet.interval(-1.0, 1.0)
@@ -70,6 +74,8 @@ def layers(seed):
     return {
         "b_solve": (lambda: solve_b_given_xz(obs, fact.x, fact.z),
                     lambda b: repr(float(np.sum(np.abs(b))))),
+        "bcd": (lambda: block_coordinate_ls(bcd_obs, bcd_spec, bcd_cfg, seed),
+                lambda res: f"{res.objective!r} / {res.iterations} sweeps"),
         "exact": (lambda: exact_least_squares(tiny_obs, tiny_spec, exact_cfg),
                   lambda res: repr(res.objective)),
         "critical_radius": (lambda: critical_radius(32 * 24, covering_min_bound(radius_spec, 0.5)),

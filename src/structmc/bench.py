@@ -27,6 +27,7 @@ import numpy as np
 
 from .core import Observation, ParameterError, assemble, norms
 from .estimators import (
+    ROW_CANDIDATE_LIMIT,
     EnumerationRefusal,
     SolverConfig,
     adaptive_penalized,
@@ -155,12 +156,10 @@ def bench_config_from_obj(obj: dict) -> BenchConfig:
             p_values=tuple(float(p) for p in obj["p"]),
             noise=_noise_from_obj(obj.get("noise", {"kind": "none"})),
             method=obj["method"],
-            solver=SolverConfig(
-                restarts=int(solver_obj.get("restarts", 5)),
-                max_iterations=int(solver_obj.get("max_iterations", 200)),
-                tol=float(solver_obj.get("tol", 1e-9)),
-                exhaustive_limit=int(solver_obj.get("exhaustive_limit", 1_000_000)),
-            ),
+            # absent keys keep SolverConfig's defaults
+            solver=SolverConfig(**{key: kind(solver_obj[key]) for key, kind in (
+                ("restarts", int), ("max_iterations", int), ("tol", float),
+                ("exhaustive_limit", int)) if key in solver_obj}),
             replicas=int(obj["replicas"]),
             seed=int(obj.get("seed", 0)),
             constant=None if obj.get("constant") is None else float(obj["constant"]),
@@ -200,7 +199,7 @@ def _cell_work(method: str, spec, solver: SolverConfig) -> float:
             return 1
         if alphabet.kind == "finite":
             c = row_candidate_count(k, s, alphabet)
-            return 0 if c > 1_000_000 else c
+            return 0 if c > ROW_CANDIDATE_LIMIT else c
         return sum(math.comb(k, j) for j in range(s + 1))
 
     if method == "exact":

@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _RCOND = 1e-10
+# per-row candidate count above which a finite side cannot be swept by bcd
+ROW_CANDIDATE_LIMIT = 1_000_000
 
 
 class EnumerationRefusal(RuntimeError):
@@ -131,7 +133,7 @@ def _solve_b(x: np.ndarray, z: np.ndarray, mask: np.ndarray, yp: np.ndarray) -> 
     Solves the normal equations G vec(B) = X^T Y' Z (yp is zero off the
     mask, as Observation guarantees), where G = sum_ij E_ij (x_i x_i^T) kron
     (z_j z_j^T), so memory per pair is O((n + m)(k_n^2 + k_m^2) + (k_n k_m)^2),
-    not that of the (n m, k_n k_m) design. One pinv call covers the batch.
+    not that of the (n m, k_n k_m) design; one eigh call (_psd_solve) covers the batch.
     """
     _, n, k_n = x.shape
     _, m, k_m = z.shape
@@ -175,9 +177,24 @@ def solve_b_given_xz(obs: Observation, x: np.ndarray, z: np.ndarray) -> np.ndarr
     return _solve_b(x[None], z[None], obs.mask, obs.y_rescaled)[0]
 
 
-def _masked_obj(yp, mask, theta) -> float:
-    r = mask * (yp - theta)
-    return float(np.sum(r * r))
+_OBJ_CHUNK = 1 << 14
+
+
+def _masked_objs(yp, mask, x, b, z) -> np.ndarray:
+    """Masked residuals of the fits x[i] b[i] z[i]^T, x or z being either a
+    batch like b or a batch of one shared by every fit; computed in place in
+    chunks of at most _OBJ_CHUNK entries, so the temporaries stay in cache."""
+    out = np.empty(len(b))
+    step = max(1, _OBJ_CHUNK // mask.size)
+    for lo in range(0, len(b), step):
+        part = slice(lo, lo + step)
+        r = (x if len(x) == 1 else x[part]) @ b[part] \
+            @ (z if len(z) == 1 else z[part]).transpose(0, 2, 1)
+        np.subtract(yp, r, out=r)
+        r *= mask
+        r *= r
+        out[part] = np.sum(r, axis=(1, 2))
+    return out
 
 
 # ---------- exact least squares ---------- #
@@ -226,8 +243,7 @@ def exact_least_squares(obs: Observation, spec: StructureSpec, cfg: SolverConfig
         for lo in range(0, len(z_all), chunk):
             zc = z_all[lo:lo + chunk]
             b = _solve_b(x[None], zc, mask, yp)
-            resid = mask * (yp - x @ b @ zc.transpose(0, 2, 1))
-            objs = np.sum(resid * resid, axis=(1, 2))
+            objs = _masked_objs(yp, mask, x[None], b, zc)
             c = int(np.argmin(objs))
             pairs += len(zc)
             if best is None or objs[c] < best[0]:
@@ -241,15 +257,15 @@ def exact_least_squares(obs: Observation, spec: StructureSpec, cfg: SolverConfig
 
 # ---------- block coordinate descent ---------- #
 
-def _update_rows_finite(y, mask, p_rows, cand):
-    """Exact per-row argmin over candidate rows; valid because the masked
-    residual decomposes across rows given the other factors."""
-    prod = cand @ p_rows                       # (C, cols)
-    my = mask * y
-    base = np.sum(my * y, axis=1)
-    scores = base[:, None] - 2.0 * (my @ prod.T) + mask @ (prod * prod).T
-    idx = np.argmin(scores, axis=1)
-    return cand[idx], scores[np.arange(len(y)), idx]
+def _update_rows_finite(my, base, mask, p_rows, cand):
+    """Exact per-row argmin over candidate rows for a batch of a restarts;
+    valid because the masked residual decomposes across rows given the other
+    factors. my = mask * y and its row energies base = sum(my * y, axis=1)
+    are fixed for a fit; p_rows is (a, k, cols) and the new rows (a, r, k)."""
+    prod = cand @ p_rows                       # (a, C, cols)
+    scores = (base[:, None] - 2.0 * (my @ prod.transpose(0, 2, 1))
+              + mask @ (prod * prod).transpose(0, 2, 1))
+    return cand[np.argmin(scores, axis=2)]
 
 
 _SUPPORT_LIMIT = 128
@@ -339,10 +355,17 @@ def block_coordinate_ls(obs: Observation, spec: StructureSpec, cfg: SolverConfig
     cfg.tol; best of cfg.restarts random initializations.
 
     Each restart seeds the descent with the best of a pool of random (X, Z)
-    draws, each judged by its masked residual under its own B, all of which
-    come from one batched B-solve; the discrete landscape has many block-wise
-    local minima, and spending the restart budget on well-placed starts is
-    what makes small restart counts reliable.
+    draws from its own stream, each judged by its masked residual under its
+    own B, all of which come from one batched B-solve; the discrete landscape
+    has many block-wise local minima, and spending the restart budget on
+    well-placed starts is what makes small restart counts reliable.
+
+    The restarts descend in lockstep: a sweep makes one B-solve and, per
+    finite side, one row update for every restart still active (interval rows
+    go restart by restart), and each restart leaves at its own convergence
+    sweep, ending as it would alone. trace gets each restart's objective per
+    sweep, one segment per restart in restart order; the first restart with
+    the least objective is kept.
 
     The objective is non-increasing across every update (finite rows by
     exhaustive per-row argmin, continuous rows and clipped B by the
@@ -352,9 +375,9 @@ def block_coordinate_ls(obs: Observation, spec: StructureSpec, cfg: SolverConfig
                              (spec.s_m, spec.alphabet_m, spec.k_m, "Z")):
         if s > 0 and alph.kind == "finite":
             count = row_candidate_count(k, s, alph)
-            if count > 1_000_000:
+            if count > ROW_CANDIDATE_LIMIT:
                 raise EnumerationRefusal(
-                    f"per-row candidate count {count} for {side} exceeds 10^6"
+                    f"per-row candidate count {count} for {side} exceeds {ROW_CANDIDATE_LIMIT}"
                 )
 
     yp = obs.y_rescaled
@@ -366,7 +389,7 @@ def block_coordinate_ls(obs: Observation, spec: StructureSpec, cfg: SolverConfig
 
     pool = 1 if spec.s_n == 0 and spec.s_m == 0 else _INIT_POOL
     interval_side = (spec.s_n > 0 and cand_x is None) or (spec.s_m > 0 and cand_z is None)
-    best = None
+    starts = []                      # (x, b, z, objective) of each restart's start
     for r_idx in range(cfg.restarts):
         rng = stream(seed, PURPOSE_SOLVER, *path, r_idx)
         if interval_side:
@@ -386,62 +409,79 @@ def block_coordinate_ls(obs: Observation, spec: StructureSpec, cfg: SolverConfig
             highs = np.repeat([len(cand_x) if rows_x else 1, len(cand_z) if rows_z else 1],
                               [rows_x, rows_z])
             idx = rng.integers(0, np.tile(highs, pool)).reshape(pool, rows_x + rows_z)
-            xs = cand_x[idx[:, :rows_x]] if spec.s_n else [np.eye(spec.n)] * pool
-            zs = cand_z[idx[:, rows_x:]] if spec.s_m else [np.eye(spec.m)] * pool
-        # an identity side is shared by every draw: pass it as a batch of one
-        bs = _solve_b(np.array(xs if spec.s_n else xs[:1]),
-                      np.array(zs if spec.s_m else zs[:1]), mask, yp)
+            xs = cand_x[idx[:, :rows_x]] if spec.s_n else None
+            zs = cand_z[idx[:, rows_x:]] if spec.s_m else None
+        # an identity side is shared by every draw: a batch of one
+        xs = np.array(xs) if spec.s_n else np.eye(spec.n)[None]
+        zs = np.array(zs) if spec.s_m else np.eye(spec.m)[None]
+        bs = _solve_b(xs, zs, mask, yp)
         if spec.bounded:
             bs = np.clip(bs, -spec.b_max, spec.b_max)
-        x = z = b = None
-        obj = math.inf
-        for x_try, b_try, z_try in zip(xs, bs, zs):
-            obj_try = _masked_obj(yp, mask, x_try @ b_try @ z_try.T)
-            if obj_try < obj:
-                x, z, b, obj = x_try, z_try, b_try, obj_try
-        converged = False
-        sweeps = 0
-        for sweeps in range(1, cfg.max_iterations + 1):
-            prev = obj
-            # B block: closed form; clipping under bounds is accept-if-not-worse
-            b_new = solve_b_given_xz(obs, x, z)
-            if spec.bounded:
-                b_new = np.clip(b_new, -spec.b_max, spec.b_max)
-                if _masked_obj(yp, mask, x @ b_new @ z.T) <= obj:
-                    b = b_new
-            else:
-                b = b_new
-            # X rows: residual decomposes across rows given (B, Z)
-            if spec.s_n > 0:
-                p_rows = b @ z.T
-                if cand_x is not None:
-                    x, _ = _update_rows_finite(yp, mask, p_rows, cand_x)
-                else:
-                    lo, hi = _interval_bounds(spec.alphabet_n, spec.bounded)
-                    x, _ = _update_rows_interval(yp, mask, p_rows, x, spec.s_n, lo, hi)
-            # Z rows: the same update on the transposed problem
-            if spec.s_m > 0:
-                q_rows = (x @ b).T
-                if cand_z is not None:
-                    z, _ = _update_rows_finite(yp.T, mask.T, q_rows, cand_z)
-                else:
-                    lo, hi = _interval_bounds(spec.alphabet_m, spec.bounded)
-                    z, _ = _update_rows_interval(yp.T, mask.T, q_rows, z, spec.s_m, lo, hi)
-            obj = _masked_obj(yp, mask, x @ b @ z.T)
-            if obj > prev + 1e-9 * (1.0 + prev):  # descent is structural; a rise is a bug
-                raise RuntimeError(f"objective increased {prev} -> {obj}")
-            if trace is not None:
-                trace.append(obj)
-            if prev - obj <= cfg.tol * max(prev, 1e-300):
-                converged = True
-                break
-        if best is None or obj < best[0]:
-            best = (obj, x, b, z, sweeps, converged)
+        objs = _masked_objs(yp, mask, xs, bs, zs)
+        j = int(np.argmin(objs))     # the first best draw; copies free the pool
+        starts.append((xs[j if spec.s_n else 0].copy(), bs[j].copy(),
+                       zs[j if spec.s_m else 0].copy(), objs[j]))
 
-    obj, x, b, z, sweeps, converged = best
+    def row_update(y, mk, s, alphabet, cand):
+        """One side's update of every active restart's rows, given p_rows."""
+        if cand is not None:
+            my = mk * y
+            base = np.sum(my * y, axis=1)
+            return lambda p_rows, rows: _update_rows_finite(my, base, mk, p_rows, cand)
+        lo, hi = _interval_bounds(alphabet, spec.bounded)
+        return lambda p_rows, rows: np.array([
+            _update_rows_interval(y, mk, p_r, rows_r, s, lo, hi)[0]
+            for p_r, rows_r in zip(p_rows, rows)])
+
+    update_x = row_update(yp, mask, spec.s_n, spec.alphabet_n, cand_x) if spec.s_n else None
+    update_z = row_update(yp.T, mask.T, spec.s_m, spec.alphabet_m, cand_z) if spec.s_m else None
+    # the state of the active restarts, live; an identity side stays a batch of one
+    live = np.arange(cfg.restarts)
+    x, b, z, obj = (np.array(v) for v in zip(*starts))
+    x, z = (x if spec.s_n else x[:1]), (z if spec.s_m else z[:1])
+    segments = [[] for _ in live]
+    ends = [None] * cfg.restarts     # (x, b, z, converged) of each restart at its exit
+    sweeps = 0
+    while len(live):
+        sweeps += 1
+        prev = obj
+        # B block: closed form; clipping under bounds is accept-if-not-worse
+        b_new = _solve_b(x, z, mask, yp)
+        if spec.bounded:
+            b_new = np.clip(b_new, -spec.b_max, spec.b_max)
+            better = _masked_objs(yp, mask, x, b_new, z) <= obj
+            b = np.where(better[:, None, None], b_new, b)
+        else:
+            b = b_new
+        # X rows: residual decomposes across rows given (B, Z); Z rows: the
+        # same update on the transposed problem
+        if spec.s_n:
+            x = update_x(b @ z.transpose(0, 2, 1), x)
+        if spec.s_m:
+            z = update_z((x @ b).transpose(0, 2, 1), z)
+        obj = _masked_objs(yp, mask, x, b, z)
+        rose = np.flatnonzero(obj > prev + 1e-9 * (1.0 + prev))
+        if len(rose):  # descent is structural; a rise is a bug
+            raise RuntimeError(f"objective increased {prev[rose[0]]} -> {obj[rose[0]]}")
+        converged = prev - obj <= cfg.tol * np.maximum(prev, 1e-300)
+        done = converged | (sweeps == cfg.max_iterations)
+        for j, r in enumerate(live):
+            segments[r].append(float(obj[j]))
+            if done[j]:
+                ends[r] = (x[j if spec.s_n else 0], b[j], z[j if spec.s_m else 0],
+                           bool(converged[j]))
+        go = ~done
+        live, obj, b = live[go], obj[go], b[go]
+        x, z = (x[go] if spec.s_n else x), (z[go] if spec.s_m else z)
+
+    if trace is not None:
+        trace.extend(itertools.chain(*segments))
+    kept = min(range(cfg.restarts), key=lambda r: segments[r][-1])
+    x, b, z, converged = ends[kept]
     fact = Factorization(x=x, b=b, z=z)
-    return EstimateResult(theta_hat=assemble(fact), objective=obj, factorization=fact,
-                          iterations=sweeps, restarts_used=cfg.restarts, converged=converged)
+    return EstimateResult(theta_hat=assemble(fact), objective=segments[kept][-1],
+                          factorization=fact, iterations=len(segments[kept]),
+                          restarts_used=cfg.restarts, converged=converged)
 
 
 # ---------- spectral estimators ---------- #
