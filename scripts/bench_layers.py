@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Per-layer timings of the B-solve, one bcd fit, and the oracle and theory paths.
 
-Times five layers, each as the minimum over --repeat calls on fixed seeds:
+Times six layers, each as the minimum over --repeat calls on fixed seeds:
 
     b_solve        solve_b_given_xz on a block model, n = m = 320, k = 10, p = 0.5
+                   (one-hot factors: the diagonal Gram)
+    b_solve_dense  solve_b_given_xz on a mixed-membership model, n = m = 60,
+                   k = 3, s = 2, p = 0.5 (2-sparse interval rows: the eigh path)
     bcd            block_coordinate_ls on a block model, n = m = 80, k = 3, p = 1,
                    5 restarts
     exact          exact_least_squares on a block model, n = 5, k = 2, p = 0.8
@@ -54,18 +57,20 @@ def layers(seed):
         generate, observe, sample_mask, sample_noise, solve_b_given_xz, sparse_binary_packing,
     )
 
-    def observed(n, k, p):
-        fact, spec = generate(ModelFamily.sbm(n, k), seed)
+    def observed(family, p):
+        fact, spec = generate(family, seed)
         noise = NoiseKind.gaussian(0.5)
         theta = assemble(fact)
+        n = len(theta)
         obs = observe(theta, sample_mask(n, n, p, seed), sample_noise(noise, n, n, seed), p,
                       sigma=noise.proxy_sigma, b=noise.bound)
         return fact, spec, obs
 
-    fact, _, obs = observed(320, 10, 0.5)
-    _, bcd_spec, bcd_obs = observed(80, 3, 1.0)
+    fact, _, obs = observed(ModelFamily.sbm(320, 10), 0.5)
+    dense_fact, _, dense_obs = observed(ModelFamily.mixed_membership(60, 3, 2), 0.5)
+    _, bcd_spec, bcd_obs = observed(ModelFamily.sbm(80, 3), 1.0)
     bcd_cfg = SolverConfig(restarts=5)
-    _, tiny_spec, tiny_obs = observed(5, 2, 0.8)
+    _, tiny_spec, tiny_obs = observed(ModelFamily.sbm(5, 2), 0.8)
     exact_cfg = SolverConfig(exhaustive_limit=10 ** 7)
     interval = Alphabet.interval(-1.0, 1.0)
     radius_spec = StructureSpec(n=32, m=24, k_n=3, k_m=3, s_n=1, s_m=1,
@@ -74,6 +79,8 @@ def layers(seed):
     return {
         "b_solve": (lambda: solve_b_given_xz(obs, fact.x, fact.z),
                     lambda b: repr(float(np.sum(np.abs(b))))),
+        "b_solve_dense": (lambda: solve_b_given_xz(dense_obs, dense_fact.x, dense_fact.z),
+                          lambda b: repr(float(np.sum(np.abs(b))))),
         "bcd": (lambda: block_coordinate_ls(bcd_obs, bcd_spec, bcd_cfg, seed),
                 lambda res: f"{res.objective!r} / {res.iterations} sweeps"),
         "exact": (lambda: exact_least_squares(tiny_obs, tiny_spec, exact_cfg),

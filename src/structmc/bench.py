@@ -51,6 +51,7 @@ __all__ = [
     "estimate_work",
     "run_experiment",
     "rows_to_csv",
+    "status_counts",
     "summarize",
 ]
 
@@ -354,10 +355,12 @@ class CellSummary:
     p: float
     sigma: float
     method: str
-    count: int
-    mean_err: float
-    median_err: float
-    q90_err: float
+    count: int                # ok rows; the error columns aggregate these
+    refused: int
+    failed: int
+    mean_err: float | None    # None when no row of the cell is ok
+    median_err: float | None
+    q90_err: float | None
     rate_total: float
     ratio: float | None   # mean_err * p / (sigma^2 * rate_total)
 
@@ -370,45 +373,60 @@ class BenchSummary:
     slope_residual: float | None
 
     def __str__(self):
-        head = f"{'cell':<40}{'count':>6}{'mean':>14}{'median':>14}{'ratio':>10}"
+        def num(v, fmt):
+            return "-" if v is None else format(v, fmt)
+
+        head = (f"{'cell':<40}{'count':>6}{'refused':>8}{'failed':>8}"
+                f"{'mean':>14}{'median':>14}{'ratio':>10}")
         lines = [head]
         for c in self.cells:
             name = f"{c.family} n={c.n} m={c.m} p={c.p:g} {c.method}"
-            ratio = f"{c.ratio:.4g}" if c.ratio is not None else "-"
-            lines.append(f"{name:<40}{c.count:>6}{c.mean_err:>14.6g}{c.median_err:>14.6g}{ratio:>10}")
+            lines.append(f"{name:<40}{c.count:>6}{c.refused:>8}{c.failed:>8}"
+                         f"{num(c.mean_err, '.6g'):>14}{num(c.median_err, '.6g'):>14}"
+                         f"{num(c.ratio, '.4g'):>10}")
         lines.append(f"c_hat = {self.c_hat}  slope = {self.slope}  residual = {self.slope_residual}")
         return "\n".join(lines)
 
 
+def status_counts(rows) -> str:
+    """The rows that are not ok, by status: e.g. '3 refused, 1 failed'."""
+    counts = [(sum(r.status == s for r in rows), s) for s in ("refused", "failed")]
+    return ", ".join(f"{k} {s}" for k, s in counts if k)
+
+
 def summarize(rows) -> BenchSummary:
-    """Per-cell aggregates plus the log-log slope of mean error on rate."""
-    ok = [r for r in rows if r.status == "ok"]
-    if not ok:
-        raise ParameterError("no successful rows to summarize")
+    """Per-cell aggregates of the ok rows, with each cell's refused and
+    failed counts, plus the log-log slope of mean error on rate."""
+    if not any(r.status == "ok" for r in rows):
+        raise ParameterError(f"no successful rows to summarize ({status_counts(rows)})")
     groups: dict[tuple, list[BenchRow]] = {}
-    for r in ok:
+    for r in rows:
         key = (r.family, r.n, r.m, r.k_n, r.k_m, r.s_n, r.s_m, r.p, r.sigma, r.method)
         groups.setdefault(key, []).append(r)
 
     cells = []
     for key in sorted(groups):
         rs = groups[key]
-        errs = np.array([r.frob_err_sq for r in rs])
-        mean = float(np.mean(errs))
+        errs = np.array([r.frob_err_sq for r in rs if r.status == "ok"])
         rate = rs[0].rate_total
         sigma, p = rs[0].sigma, rs[0].p
-        ratio = mean * p / (sigma ** 2 * rate) if sigma > 0 and rate > 0 else None
+        mean = median = q90 = ratio = None
+        if len(errs):
+            mean = float(np.mean(errs))
+            median, q90 = float(np.median(errs)), float(np.quantile(errs, 0.9))
+            ratio = mean * p / (sigma ** 2 * rate) if sigma > 0 and rate > 0 else None
         cells.append(CellSummary(
             family=rs[0].family, n=rs[0].n, m=rs[0].m, p=p, sigma=sigma,
-            method=rs[0].method, count=len(rs), mean_err=mean,
-            median_err=float(np.median(errs)), q90_err=float(np.quantile(errs, 0.9)),
-            rate_total=rate, ratio=ratio,
+            method=rs[0].method, count=len(errs),
+            refused=sum(r.status == "refused" for r in rs),
+            failed=sum(r.status == "failed" for r in rs),
+            mean_err=mean, median_err=median, q90_err=q90, rate_total=rate, ratio=ratio,
         ))
 
     ratios = [c.ratio for c in cells if c.ratio is not None]
     c_hat = max(ratios) if ratios else None
 
-    fit_cells = [c for c in cells if c.mean_err > 0 and c.rate_total > 0]
+    fit_cells = [c for c in cells if c.count and c.mean_err > 0 and c.rate_total > 0]
     rates_ln = np.array([math.log(c.rate_total) for c in fit_cells])
     slope = residual = None
     if len(fit_cells) >= 2 and len(set(rates_ln.tolist())) >= 2:

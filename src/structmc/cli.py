@@ -14,7 +14,8 @@ import sys
 
 import click
 
-from .bench import BudgetError, _family_for, bench_config_from_obj, rows_to_csv, run_experiment, summarize
+from .bench import (BudgetError, _family_for, bench_config_from_obj, rows_to_csv, run_experiment,
+                    status_counts, summarize)
 from .core import (
     ParameterError,
     ShapeError,
@@ -301,7 +302,7 @@ def bench_cmd(config_file, out, timing):
         if any(r.status == "ok" for r in rows):
             click.echo(str(summarize(rows)))
         else:
-            click.echo("all rows failed; no summary", err=True)
+            click.echo(f"no row is ok ({status_counts(rows)}); no summary", err=True)
     else:
         click.echo(rows_to_csv(rows), nl=False)
 

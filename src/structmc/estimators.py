@@ -5,10 +5,12 @@ penalized selector.
 The combinatorial search only ever ranges over (X, Z): the middle factor is
 unconstrained, so B is profiled out in closed form by masked least squares,
 one normal-equations solve on the (k_n k_m)-square Gram of the masked design
-(minimum-Frobenius-norm solution). The Gram is symmetric PSD and is solved by
-its eigendecomposition (eigh); the cutoff _RCOND applies to its eigenvalues,
-so design singular values below sqrt(_RCOND) * sigma_max (1e-5 relative) are
-treated as zero.
+(minimum-Frobenius-norm solution). When every row of both outer factors has
+at most one nonzero (one-hot factors, an identity side) the Gram is diagonal
+and B is the masked block mean. Otherwise the Gram, symmetric PSD, is solved
+by its eigendecomposition (eigh). Either way the cutoff _RCOND applies to the
+Gram's eigenvalues, so design singular values below sqrt(_RCOND) * sigma_max
+(1e-5 relative) are treated as zero.
 """
 
 from __future__ import annotations
@@ -132,17 +134,30 @@ def _solve_b(x: np.ndarray, z: np.ndarray, mask: np.ndarray, yp: np.ndarray) -> 
 
     Solves the normal equations G vec(B) = X^T Y' Z (yp is zero off the
     mask, as Observation guarantees), where G = sum_ij E_ij (x_i x_i^T) kron
-    (z_j z_j^T), so memory per pair is O((n + m)(k_n^2 + k_m^2) + (k_n k_m)^2),
-    not that of the (n m, k_n k_m) design; one eigh call (_psd_solve) covers the batch.
+    (z_j z_j^T), never forming the (n m, k_n k_m) design:
+    - if every row of x and of z has at most one nonzero (one-hot factors, an
+      identity side), G is diagonal, d = ((x*x)^T E)(z*z), and B is the masked
+      block mean d^-1 (X^T Y' Z) under eigh's cutoff: entries of d <= _RCOND *
+      max(d) of the pair count as zero; memory per pair O(k_n (n + m + k_m)).
+    - otherwise one eigh call (_psd_solve) covers the batch; memory per pair
+      O((n + m)(k_n^2 + k_m^2) + (k_n k_m)^2).
     """
     _, n, k_n = x.shape
     _, m, k_m = z.shape
+    rhs = (x.transpose(0, 2, 1) @ yp) @ z
+    # more nonzeros than rows fails at once; short-axis reductions are slow, so rows
+    # are counted by a matrix-vector product and max(d) reduces a transposed copy
+    if all(np.count_nonzero(f) <= len(f) * f.shape[1]
+           and ((f.reshape(-1, f.shape[2]) != 0) @ np.ones(f.shape[2])).max() <= 1 for f in (x, z)):
+        d = ((x * x).transpose(0, 2, 1) @ mask) @ (z * z)
+        d_max = np.ascontiguousarray(d.reshape(len(d), -1).T).max(axis=0)
+        keep = d > _RCOND * d_max[:, None, None]
+        return np.divide(1.0, d, out=np.zeros_like(d), where=keep) * rhs
     xx = (x[:, :, :, None] * x[:, :, None, :]).reshape(-1, n, k_n * k_n)
     zz = (z[:, :, :, None] * z[:, :, None, :]).reshape(-1, m, k_m * k_m)
     g = (xx.transpose(0, 2, 1) @ mask) @ zz
     c = len(g)
     g = g.reshape(c, k_n, k_n, k_m, k_m).transpose(0, 1, 3, 2, 4)
-    rhs = (x.transpose(0, 2, 1) @ yp) @ z
     kk = k_n * k_m
     return _psd_solve(g.reshape(c, kk, kk), rhs.reshape(c, kk, 1)).reshape(c, k_n, k_m)
 

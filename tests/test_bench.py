@@ -1,6 +1,7 @@
 """Monte Carlo harness: config parsing, budgets, execution, CSV, summaries."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,6 +224,31 @@ def test_summary_requires_successes():
     rows = run_experiment(cfg)
     with pytest.raises(ParameterError):
         summarize(rows)
+
+
+def test_summary_counts_refused_and_failed_rows_per_cell():
+    # exact search: n = 4 enumerates, n = 6 exceeds the limit and is refused
+    cfg = sbm_config(method="exact", grid=((4, 2), (6, 2)), replicas=3,
+                     solver=SolverConfig(restarts=1, exhaustive_limit=10 ** 6))
+    rows = run_experiment(cfg)
+    assert [r.status for r in rows] == ["ok"] * 3 + ["refused"] * 3
+    csv = bench.rows_to_csv(rows)
+    gone = replace(rows[1], status="failed", frob_err_sq=None, spec_err_sq=None,
+                   objective=None, ratio=None)
+    s = summarize([rows[0], gone, *rows[2:]])
+    assert bench.rows_to_csv(rows) == csv                  # summarizing writes nothing
+    small, big = s.cells
+    assert (small.count, small.refused, small.failed) == (2, 0, 1)
+    assert small.mean_err == pytest.approx((rows[0].frob_err_sq + rows[2].frob_err_sq) / 2)
+    assert (big.count, big.refused, big.failed) == (0, 3, 0)
+    assert big.mean_err is big.median_err is big.ratio is None
+    assert s.c_hat == small.ratio and s.slope is None
+    table = str(s).splitlines()
+    assert table[0].split()[:4] == ["cell", "count", "refused", "failed"]
+    assert table[2].split()[-6:] == ["0", "3", "0", "-", "-", "-"]
+    assert bench.status_counts(rows) == "3 refused"
+    with pytest.raises(ParameterError, match=r"\(3 refused, 1 failed\)"):
+        summarize([gone, *rows[3:]])
 
 
 def test_header_pin():

@@ -270,6 +270,15 @@ def test_bench_out_file_plus_summary(tmp_path, capsys):
     assert "sbm" in out                       # summary table mentions the family
 
 
+def test_bench_out_names_the_status_when_no_row_is_ok(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bench_config_obj(method="exact", solver={"exhaustive_limit": 10})))
+    code = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert err.strip() == "no row is ok (2 refused); no summary"
+
+
 def test_bench_budget_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(bench_config_obj(budget=1.0)))

@@ -199,6 +199,116 @@ def test_solve_b_batches_x_and_z_like_single_solves():
         np.testing.assert_allclose(got[6].ravel(), coef, atol=1e-8, err_msg=f"p={p}")
 
 
+def eigh_path(x, z, mask, yp):
+    """B of every pair of a (c|1)-batch by _psd_solve on its Gram, assembled
+    entry by entry as sum_ij E_ij kron(x_i x_i^T, z_j z_j^T)."""
+    c, k_n, k_m = max(len(x), len(z)), x.shape[2], z.shape[2]
+    g = np.array([np.einsum("ij,ia,ib,jc,jd->acbd", mask, x[i % len(x)], x[i % len(x)],
+                            z[i % len(z)], z[i % len(z)]).reshape(k_n * k_m, k_n * k_m)
+                  for i in range(c)])
+    rhs = (x.transpose(0, 2, 1) @ yp) @ z
+    return est._psd_solve(g, rhs.reshape(c, -1, 1)).reshape(c, k_n, k_m)
+
+
+def one_sparse(rng, c, rows, k, values):
+    """(c, rows, k) factors whose rows hold at most one entry from values."""
+    out = np.zeros((c, rows, k))
+    cols = rng.integers(0, k, size=(c, rows))
+    vals = rng.choice(np.asarray(values, float), size=(c, rows))
+    np.put_along_axis(out, cols[:, :, None], vals[:, :, None], axis=2)
+    return out
+
+
+def one_sparse_batches(rng, p):
+    """(label, x, z, mask, exact) batches whose rows all have at most one
+    nonzero; exact marks integer Grams, where eigh and the block mean agree
+    to the bit."""
+    n, m, c = 9, 7, 6
+    mask = (rng.random((n, m)) < p).astype(float)
+    yield "binary", one_sparse(rng, c, n, 3, (0, 1)), one_sparse(rng, c, m, 2, (0, 1)), mask, True
+    yield "ternary", one_sparse(rng, c, n, 3, (-1, 0, 1)), one_sparse(rng, c, m, 2, (-1, 1)), mask, True
+    # interval values, pair scales 1e-6..1e3: the cutoff is each pair's own
+    scale = np.array([1e-6, 1e-3, 1.0, 1.0, 1e2, 1e3])[:, None, None]
+    x = one_sparse(rng, c, n, 3, (1.0,)) * rng.uniform(-2.0, 2.0, size=(c, n, 1)) * scale
+    z = one_sparse(rng, c, m, 2, (1.0,)) * rng.uniform(0.5, 2.0, size=(c, m, 1))
+    yield "interval", x, z, mask, False
+    x = one_sparse(rng, c, n, 3, (0, 1))
+    x[:, :, 2] = 0.0                                       # empty cluster
+    yield "empty cluster", x, one_sparse(rng, c, m, 2, (0, 1)), mask, True
+    labels_x, labels_z = np.arange(n) % 3, np.arange(m) % 2
+    x = np.broadcast_to(np.eye(3)[labels_x], (c, n, 3)) * rng.uniform(0.5, 2.0, size=(c, n, 1))
+    z = np.eye(2)[labels_z][None]                          # shared by every pair
+    unobserved = mask * ~((labels_x[:, None] == 0) & (labels_z[None, :] == 1))
+    yield "unobserved block pair", x, z, unobserved, False
+    yield "all-zero mask", one_sparse(rng, c, n, 3, (0, 1)), z, np.zeros((n, m)), True
+    yield "identity side", one_sparse(rng, c, n, 3, (0, 1)), np.eye(m)[None], mask, True
+    yield "shared x", one_sparse(rng, 1, n, 3, (-1, 1)), one_sparse(rng, c, m, 2, (0, 1)), mask, True
+
+
+def test_solve_b_one_sparse_is_the_eigh_solution():
+    # a diagonal Gram's eigenvalues are its diagonal, so the masked block
+    # mean is what eigh returns: to the bit on integer Grams
+    rng = np.random.default_rng(29)
+    for p in (1.0, 0.6):
+        for label, x, z, mask, exact in one_sparse_batches(rng, p):
+            yp = rng.normal(size=mask.shape) * mask
+            got = est._solve_b(x, z, mask, yp)
+            want = eigh_path(x, z, mask, yp)
+            if exact:
+                np.testing.assert_array_equal(got, want, err_msg=f"{label}, p={p}")
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"{label}, p={p}")
+            if not mask.any():
+                np.testing.assert_array_equal(got, 0.0)
+            w = mask.astype(bool).ravel()
+            for i in range(len(got)):
+                xi, zi = x[i % len(x)], z[i % len(z)]
+                coef, *_ = np.linalg.lstsq(np.kron(xi, zi)[w], yp.ravel()[w], rcond=None)
+                np.testing.assert_allclose(got[i].ravel(), coef, rtol=1e-9,
+                                           atol=1e-9 * np.abs(coef).max(initial=0.0),
+                                           err_msg=f"{label}, p={p}, pair {i}")
+
+
+def test_solve_b_one_sparse_drops_near_empty_blocks():
+    # a block whose weight is <= 1e-10 of its pair's largest counts as zero,
+    # as eigh's cutoff has it, however large the rest of the batch
+    rng = np.random.default_rng(31)
+    n, m = 6, 5
+    x = np.zeros((2, n, 2))
+    x[:, 1:, 0] = 1.0
+    x[:, 0, 1] = 1e-6                                      # cluster 1: one member, weight 1e-12
+    x[1] *= 1e3
+    z = np.eye(m)[None]
+    mask = np.ones((n, m))
+    yp = rng.normal(size=(n, m))
+    got = est._solve_b(x, z, mask, yp)
+    np.testing.assert_array_equal(got[:, 1], 0.0)
+    np.testing.assert_allclose(got, eigh_path(x, z, mask, yp), rtol=1e-12, atol=0)
+
+
+def test_solve_b_mixed_batch_takes_eigh_for_every_pair():
+    # one 2-sparse row in one pair, on either side, makes the Gram of that
+    # pair non-diagonal; every pair then matches eigh and the kron lstsq
+    rng = np.random.default_rng(37)
+    n, m, c = 8, 6, 4
+    mask = (rng.random((n, m)) < 0.7).astype(float)
+    yp = rng.normal(size=(n, m)) * mask
+    w = mask.astype(bool).ravel()
+    for side in ("x", "z"):
+        x = one_sparse(rng, c, n, 3, (1.0,)) * rng.uniform(0.5, 2.0, size=(c, n, 1))
+        z = one_sparse(rng, c, m, 2, (1.0,)) * rng.uniform(0.5, 2.0, size=(c, m, 1))
+        dense = x if side == "x" else z
+        dense[2, 0, :2] = (0.7, -1.3)
+        dense[2, 1] = 0.0               # no more nonzeros than rows: counted row by row
+        got = est._solve_b(x, z, mask, yp)
+        np.testing.assert_allclose(got, eigh_path(x, z, mask, yp), rtol=1e-12, atol=0,
+                                   err_msg=side)
+        for i in range(c):
+            coef, *_ = np.linalg.lstsq(np.kron(x[i], z[i])[w], yp.ravel()[w], rcond=None)
+            np.testing.assert_allclose(got[i].ravel(), coef, atol=1e-9,
+                                       err_msg=f"{side}, pair {i}")
+
+
 def test_solve_b_rescales_by_p():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(6, 2))
