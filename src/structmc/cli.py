@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 
 import click
 
@@ -30,14 +31,7 @@ from .core import (
     spec_from_obj,
     spec_to_obj,
 )
-from .estimators import (
-    EnumerationRefusal,
-    SolverConfig,
-    adaptive_penalized,
-    block_coordinate_ls,
-    exact_least_squares,
-    hard_threshold,
-)
+from .estimators import METHODS, EnumerationRefusal, SolverConfig, estimate
 from .packing import (
     ConstructionError,
     DegenerateSetError,
@@ -56,7 +50,7 @@ from .rates import (
     penalty,
     rate_components,
 )
-from .simulate import ModelFamily, NoiseKind, generate, observe, sample_mask, sample_noise
+from .simulate import NOISE_KINDS, ModelFamily, NoiseKind, generate, observe, sample_mask, sample_noise
 
 __all__ = ["main"]
 
@@ -86,24 +80,6 @@ def _build_family(name: str, args_csv: str | None, spec_file: str | None) -> Mod
     if not args_csv:
         raise ParameterError(f"family {name!r} needs --args (constructor integers)")
     return _family_for(name, _parse_ints(args_csv))
-
-
-def _build_noise(kind: str, sigma: float, scale: float, b: float | None) -> NoiseKind:
-    if kind == "none":
-        return NoiseKind.none()
-    if kind == "gaussian":
-        return NoiseKind.gaussian(sigma)
-    if kind == "rademacher":
-        return NoiseKind.rademacher(scale)
-    if kind == "uniform":
-        if b is None:
-            raise ParameterError("uniform noise needs --b")
-        return NoiseKind.uniform_bounded(b)
-    if kind == "truncated_gaussian":
-        if b is None:
-            raise ParameterError("truncated_gaussian noise needs --b")
-        return NoiseKind.truncated_gaussian(sigma, b)
-    raise ParameterError(f"unknown noise kind {kind!r}")
 
 
 @click.group()
@@ -142,7 +118,7 @@ def gen_cmd(family, args_csv, spec_file, seed, out_theta, out_factorization, out
 @click.option("--theta", "theta_file", required=True, help="ground truth matrix JSON")
 @click.option("--p", required=True, type=float, help="Bernoulli sampling probability")
 @click.option("--noise", "noise_kind", default="none",
-              type=click.Choice(["none", "gaussian", "rademacher", "uniform", "truncated_gaussian"]))
+              type=click.Choice(list(NOISE_KINDS)))
 @click.option("--sigma", default=0.0, type=float)
 @click.option("--scale", default=0.0, type=float)
 @click.option("--b", default=None, type=float)
@@ -151,7 +127,7 @@ def gen_cmd(family, args_csv, spec_file, seed, out_theta, out_factorization, out
 def observe_cmd(theta_file, p, noise_kind, sigma, scale, b, seed, out):
     """Mask and corrupt a ground-truth matrix."""
     theta = matrix_from_obj(load_json(theta_file))
-    kind = _build_noise(noise_kind, sigma, scale, b)
+    kind = NoiseKind.from_obj({"kind": noise_kind, "sigma": sigma, "scale": scale, "b": b})
     n, m = theta.shape
     mask = sample_mask(n, m, p, seed)
     noise = sample_noise(kind, n, m, seed)
@@ -160,7 +136,7 @@ def observe_cmd(theta_file, p, noise_kind, sigma, scale, b, seed, out):
 
 
 @cli.command("estimate")
-@click.option("--method", required=True, type=click.Choice(["exact", "bcd", "svt", "adaptive"]))
+@click.option("--method", required=True, type=click.Choice(METHODS))
 @click.option("--obs", "obs_file", required=True)
 @click.option("--spec", "spec_file", required=True)
 @click.option("--lambda", "lam", default=None, type=float, help="threshold (svt) or penalty weight (adaptive)")
@@ -171,19 +147,7 @@ def estimate_cmd(method, obs_file, spec_file, lam, restarts, seed, out):
     """Run an estimator on an observation file."""
     obs = observation_from_obj(load_json(obs_file))
     spec = spec_from_obj(load_json(spec_file))
-    cfg = SolverConfig(restarts=restarts)
-    if method == "exact":
-        res = exact_least_squares(obs, spec, cfg)
-    elif method == "bcd":
-        res = block_coordinate_ls(obs, spec, cfg, seed)
-    elif method == "svt":
-        if lam is None:
-            raise ParameterError("svt needs --lambda")
-        res = hard_threshold(obs, lam)
-    else:
-        if lam is None:
-            raise ParameterError("adaptive needs --lambda")
-        res = adaptive_penalized(obs, spec, lam, cfg, seed)
+    res = estimate(method, obs, spec, SolverConfig(restarts=restarts), seed, lam)
     payload = {
         "theta_hat": matrix_to_obj(res.theta_hat),
         "objective": res.objective,
@@ -289,14 +253,8 @@ def packing_cmd(kind, spec_file, sigma, p, c0, cap, k, s, r, vectors_file, max_r
               help="seconds column mode (overrides the config's)")
 def bench_cmd(config_file, out, timing):
     """Run a Monte Carlo experiment from a JSON config."""
-    obj = load_json(config_file)
-    if not isinstance(obj, dict):
-        raise ParameterError("bench config must be a JSON object")
-    if out is not None:
-        obj["out"] = out
-    if timing is not None:
-        obj["timing"] = timing
-    cfg = bench_config_from_obj(obj)
+    overrides = {key: v for key, v in (("out", out), ("timing", timing)) if v is not None}
+    cfg = replace(bench_config_from_obj(load_json(config_file)), **overrides)
     rows = run_experiment(cfg)
     if cfg.out:
         if any(r.status == "ok" for r in rows):

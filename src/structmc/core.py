@@ -37,7 +37,6 @@ __all__ = [
     "spec_to_obj",
     "spec_from_obj",
     "dumps_canonical",
-    "save_json",
     "load_json",
 ]
 
@@ -175,10 +174,6 @@ class Factorization:
         for name, arr in (("X", self.x), ("B", self.b), ("Z", self.z)):
             if arr.ndim != 2:
                 raise ShapeError(f"{name} must be a 2-d matrix, got shape {arr.shape}")
-
-    @property
-    def theta(self) -> np.ndarray:
-        return assemble(self)
 
 
 @dataclass(frozen=True)
@@ -451,11 +446,6 @@ def spec_from_obj(obj: dict) -> StructureSpec:
 def dumps_canonical(obj) -> str:
     """Stable JSON text: sorted keys, fixed separators, trailing newline."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def save_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_canonical(obj))
 
 
 def load_json(path) -> dict:

@@ -35,6 +35,7 @@ from .rates import penalty
 from .simulate import PURPOSE_SOLVER, stream
 
 __all__ = [
+    "METHODS",
     "EstimateResult",
     "SolverConfig",
     "EnumerationRefusal",
@@ -44,7 +45,10 @@ __all__ = [
     "hard_threshold",
     "spectral_threshold",
     "adaptive_penalized",
+    "estimate",
 ]
+
+METHODS = ("exact", "bcd", "svt", "adaptive")
 
 _RCOND = 1e-10
 # per-row candidate count above which a finite side cannot be swept by bcd
@@ -529,6 +533,13 @@ def spectral_threshold(b: float, theta_mx: float, n: int, m: int, p: float, c: f
 
 # ---------- adaptive penalized selection ---------- #
 
+def _cell_method(spec: StructureSpec, cfg: SolverConfig) -> str:
+    """The solver of one sparsity cell of adaptive_penalized: "exact" when the
+    search is enumerable within cfg.exhaustive_limit, else "bcd"."""
+    size = enumeration_size(spec)
+    return "exact" if size is not None and size <= cfg.exhaustive_limit else "bcd"
+
+
 def adaptive_penalized(obs: Observation, base_spec: StructureSpec, lam: float,
                        cfg: SolverConfig, seed: int) -> EstimateResult:
     """Penalized least squares over the sparsity grid [1..k_n] x [1..k_m].
@@ -557,8 +568,7 @@ def adaptive_penalized(obs: Observation, base_spec: StructureSpec, lam: float,
     best = None
     for (s_n, s_m), pen in pens.items():
         spec_s = replace(base_spec, s_n=s_n, s_m=s_m)
-        size = enumeration_size(spec_s)
-        if size is not None and size <= cfg.exhaustive_limit:
+        if _cell_method(spec_s, cfg) == "exact":
             res = exact_least_squares(raw, spec_s, cfg)
         else:
             res = block_coordinate_ls(raw, spec_s, cfg, seed, path=(s_n, s_m))
@@ -571,3 +581,21 @@ def adaptive_penalized(obs: Observation, base_spec: StructureSpec, lam: float,
                           factorization=res.factorization, selected_s=sel,
                           iterations=res.iterations, restarts_used=res.restarts_used,
                           converged=res.converged)
+
+
+def estimate(method: str, obs: Observation, spec: StructureSpec, cfg: SolverConfig,
+             seed: int, lam: float | None = None) -> EstimateResult:
+    """Run the estimator named by method, one of METHODS. lam is the
+    threshold of svt and the penalty weight of adaptive, which both need it;
+    exact and bcd ignore it."""
+    if method not in METHODS:
+        raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
+    if method in ("svt", "adaptive") and lam is None:
+        raise ParameterError(f"{method} needs lambda")
+    if method == "exact":
+        return exact_least_squares(obs, spec, cfg)
+    if method == "bcd":
+        return block_coordinate_ls(obs, spec, cfg, seed)
+    if method == "svt":
+        return hard_threshold(obs, lam)
+    return adaptive_penalized(obs, spec, lam, cfg, seed)

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Factorization, ParameterError, StructureSpec, validate_membership
-from .rates import kl_divergence
+from .core import Factorization, ParameterError, StructureSpec, assemble, validate_membership
 from .simulate import PURPOSE_PACKING, stream
 
 __all__ = [
@@ -219,11 +218,13 @@ def sign_embedding(r: int, vectors, seed: int = 0, max_resamples: int = 100) -> 
 
 # ---------- hypothesis sets ---------- #
 
-def _padded_identity(rows: int, cols: int) -> np.ndarray:
-    return np.eye(rows, cols)
-
-
-def _validate_members(facts, spec: StructureSpec):
+def _certified(facts, spec: StructureSpec, p: float, sigma: float, sep_bound: float,
+               kl_bound: float, delta: float, kind: str) -> HypothesisSet:
+    """The hypothesis set of facts, once every member is checked to lie in
+    the (unbounded) class and the recomputed pairwise certificates meet
+    their bounds: least squared distance >= sep_bound, largest KL <=
+    kl_bound. The KL p ||a - b||^2 / (2 sigma^2) increases with the squared
+    distance, so the largest is that of the largest squared distance."""
     target = spec.unbounded()
     for fact in facts:
         report = validate_membership(fact, target)
@@ -231,18 +232,16 @@ def _validate_members(facts, spec: StructureSpec):
             raise ConstructionError(
                 "constructed hypothesis leaves the class: " + "; ".join(report.violations)
             )
-
-
-def _pairwise_certificates(thetas, p: float, sigma: float):
-    min_sq = math.inf
-    max_kl = 0.0
-    for u in range(len(thetas)):
-        for v in range(u + 1, len(thetas)):
-            d = thetas[u] - thetas[v]
-            sq = float(np.sum(d * d))
-            min_sq = min(min_sq, sq)
-            max_kl = max(max_kl, kl_divergence(thetas[u], thetas[v], p, sigma))
-    return min_sq, max_kl
+    thetas = tuple(assemble(f) for f in facts)
+    diffs = (a - b for a, b in itertools.combinations(thetas, 2))
+    sq = [float(np.sum(d * d)) for d in diffs]
+    min_sq, max_kl = min(sq), p * max(sq) / (2.0 * sigma ** 2)
+    if min_sq < sep_bound * (1 - 1e-9):
+        raise ConstructionError(f"separation {min_sq} below certificate {sep_bound}")
+    if max_kl > kl_bound * (1 + 1e-9):
+        raise ConstructionError(f"KL {max_kl} above certificate {kl_bound}")
+    return HypothesisSet(thetas=thetas, delta=delta, min_sq_distance=min_sq,
+                         max_kl=max_kl, kind=kind)
 
 
 def build_t_z(spec: StructureSpec, sigma: float, p: float, c0: float,
@@ -281,21 +280,13 @@ def build_t_z(spec: StructureSpec, sigma: float, p: float, c0: float,
         raise DegenerateSetError("delta = 0 makes all hypotheses identical")
     delta = math.sqrt(delta_sq)
 
-    x0 = _padded_identity(spec.n, spec.k_n)
+    x0 = np.eye(spec.n, spec.k_n)
     b0 = np.vstack([delta * q, np.zeros((spec.k_n - spec.r_n, spec.k_m))])
     facts = [Factorization(x=x0, b=b0, z=np.tile(a, (spec.m, 1))) for a in codes]
-    thetas = tuple(x0 @ b0 @ f.z.T for f in facts)
-    _validate_members(facts, spec)
-
-    min_sq, max_kl = _pairwise_certificates(thetas, p, sigma)
-    sep_bound = c3 * spec.r_n * delta_sq * spec.m * spec.s_m / 2.0
-    kl_bound = 3.0 * p * spec.r_n * delta_sq * spec.m * spec.s_m / (2.0 * sigma ** 2)
-    if min_sq < sep_bound * (1 - 1e-9):
-        raise ConstructionError(f"separation {min_sq} below certificate {sep_bound}")
-    if max_kl > kl_bound * (1 + 1e-9):
-        raise ConstructionError(f"KL {max_kl} above certificate {kl_bound}")
-    return HypothesisSet(thetas=thetas, delta=delta, min_sq_distance=min_sq,
-                         max_kl=max_kl, kind="t_z")
+    return _certified(
+        facts, spec, p, sigma, sep_bound=c3 * spec.r_n * delta_sq * spec.m * spec.s_m / 2.0,
+        kl_bound=3.0 * p * spec.r_n * delta_sq * spec.m * spec.s_m / (2.0 * sigma ** 2),
+        delta=delta, kind="t_z")
 
 
 def build_t_b(spec: StructureSpec, sigma: float, p: float, c0: float,
@@ -315,8 +306,8 @@ def build_t_b(spec: StructureSpec, sigma: float, p: float, c0: float,
         raise DegenerateSetError("delta = 0 makes all hypotheses identical")
     delta = math.sqrt(delta_sq)
     r_n, r_m = spec.r_n, spec.r_m
-    x0 = _padded_identity(spec.n, spec.k_n)
-    z0 = _padded_identity(spec.m, spec.k_m)
+    x0 = np.eye(spec.n, spec.k_n)
+    z0 = np.eye(spec.m, spec.k_m)
 
     def embed(code_flat: np.ndarray) -> np.ndarray:
         b = np.zeros((spec.k_n, spec.k_m))
@@ -343,13 +334,4 @@ def build_t_b(spec: StructureSpec, sigma: float, p: float, c0: float,
         kl_bound = p * delta_sq * dim / (2.0 * sigma ** 2)
 
     facts = [Factorization(x=x0, b=embed(c), z=z0) for c in codes]
-    thetas = tuple(f.x @ f.b @ f.z.T for f in facts)
-    _validate_members(facts, spec)
-
-    min_sq, max_kl = _pairwise_certificates(thetas, p, sigma)
-    if min_sq < sep_bound * (1 - 1e-9):
-        raise ConstructionError(f"separation {min_sq} below certificate {sep_bound}")
-    if max_kl > kl_bound * (1 + 1e-9):
-        raise ConstructionError(f"KL {max_kl} above certificate {kl_bound}")
-    return HypothesisSet(thetas=thetas, delta=delta, min_sq_distance=min_sq,
-                         max_kl=max_kl, kind="t_b")
+    return _certified(facts, spec, p, sigma, sep_bound, kl_bound, delta, "t_b")

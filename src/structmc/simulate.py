@@ -30,6 +30,7 @@ from .core import (
 )
 
 __all__ = [
+    "NOISE_KINDS",
     "NoiseKind",
     "ModelFamily",
     "stream",
@@ -79,6 +80,16 @@ def derive_seed(seed: int, *path: int) -> int:
 
 # ---------- noise ---------- #
 
+# JSON / CLI kind -> (NoiseKind variant, its required keys in constructor order)
+NOISE_KINDS = {
+    "none": ("none", ()),
+    "gaussian": ("gaussian", ("sigma",)),
+    "rademacher": ("rademacher", ("scale",)),
+    "uniform": ("uniform_bounded", ("b",)),
+    "truncated_gaussian": ("truncated_gaussian", ("sigma", "b")),
+}
+
+
 @dataclass(frozen=True)
 class NoiseKind:
     """One of gaussian(sigma), rademacher(scale), uniform_bounded(b),
@@ -91,13 +102,27 @@ class NoiseKind:
     b: float = 0.0
 
     def __post_init__(self):
-        if self.variant not in ("gaussian", "rademacher", "uniform_bounded",
-                                "truncated_gaussian", "none"):
+        if self.variant not in {v for v, _ in NOISE_KINDS.values()}:
             raise ParameterError(f"unknown noise variant {self.variant!r}")
         if min(self.sigma, self.scale, self.b) < 0:
             raise ParameterError("noise scale parameters must be >= 0")
         if self.variant == "truncated_gaussian" and self.b < self.sigma:
             raise ParameterError("truncated_gaussian requires b >= sigma")
+
+    @classmethod
+    def from_obj(cls, obj) -> "NoiseKind":
+        """Parse {"kind": <a key of NOISE_KINDS>, ...}; kind defaults to none,
+        and every key the kind requires must be present and not null."""
+        if not isinstance(obj, dict):
+            raise ParameterError(f"noise must be a JSON object, got {obj!r}")
+        kind = obj.get("kind", "none")
+        if kind not in NOISE_KINDS:
+            raise ParameterError(f"unknown noise kind {kind!r}")
+        variant, keys = NOISE_KINDS[kind]
+        for key in keys:
+            if obj.get(key) is None:
+                raise ParameterError(f"{kind} noise needs {key!r}")
+        return getattr(cls, variant)(*(obj[key] for key in keys))
 
     @classmethod
     def gaussian(cls, sigma: float) -> "NoiseKind":

@@ -7,12 +7,19 @@ import numpy as np
 import pytest
 
 import structmc.bench as bench
+import structmc.estimators as estimators
 from structmc import (
+    Alphabet,
     BenchConfig,
     BudgetError,
+    ModelFamily,
     NoiseKind,
     ParameterError,
     SolverConfig,
+    StructureSpec,
+    assemble,
+    generate,
+    observe,
     rate_components,
     run_experiment,
     summarize,
@@ -83,6 +90,44 @@ def test_estimate_work_scales_with_replicas():
     ten = bench.estimate_work(sbm_config(replicas=10))
     assert one > 0
     assert ten == pytest.approx(10 * one, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore:problem size")
+def test_adaptive_cells_follow_the_one_cell_rule(monkeypatch):
+    # n = m = 2, k = 4, binary: enumeration sizes run from 6,561 at (1, 1) to
+    # 43,046,721 at (4, 4), so a limit of 400,000 splits the 4 x 4 sparsity grid
+    binary = Alphabet.finite((0.0, 1.0))
+    spec = StructureSpec(n=2, m=2, k_n=4, k_m=4, s_n=1, s_m=1,
+                         alphabet_n=binary, alphabet_m=binary)
+    cfg = SolverConfig(restarts=1, max_iterations=20, exhaustive_limit=400_000)
+    grid = {(a, b) for a in range(1, 5) for b in range(1, 5)}
+    marked = {(a, b) for a, b in grid
+              if estimators._cell_method(replace(spec, s_n=a, s_m=b), cfg) == "exact"}
+    assert marked == {(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)}
+
+    solved = {"exact": [], "bcd": []}
+
+    def counting(method, solver):
+        def run(obs, spec_s, *args, **kwargs):
+            solved[method].append((spec_s.s_n, spec_s.s_m))
+            return solver(obs, spec_s, *args, **kwargs)
+        return run
+
+    monkeypatch.setattr(estimators, "exact_least_squares",
+                        counting("exact", estimators.exact_least_squares))
+    monkeypatch.setattr(estimators, "block_coordinate_ls",
+                        counting("bcd", estimators.block_coordinate_ls))
+    fact, _ = generate(ModelFamily.generic(spec), 3)
+    obs = observe(assemble(fact), np.ones((2, 2)), np.zeros((2, 2)), 1.0)
+    estimators.adaptive_penalized(obs, spec, 1.0, cfg, seed=0)
+    assert sorted(solved["exact"]) == sorted(marked)
+    assert sorted(solved["bcd"]) == sorted(grid - marked)
+
+    # the projected work of that adaptive config, as recorded before the rule had one home
+    cfg_bench = BenchConfig(family="generic", grid=((spec,),), p_values=(1.0, 0.5),
+                            noise=NoiseKind.none(), method="adaptive", solver=cfg,
+                            replicas=3, seed=0, constant=1.0)
+    assert bench.estimate_work(cfg_bench) == 5505534.0
 
 
 def test_budget_refusal_happens_before_any_work():

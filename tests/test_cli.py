@@ -393,9 +393,22 @@ def test_malformed_values_are_config_errors_at_parse_time(tmp_path, capsys):
     assert "malformed spec JSON" in capsys.readouterr().err
     cfg = tmp_path / "cfg.json"
     for bad in (bench_config_obj(replicas="two"), bench_config_obj(grid=[8]),
-                bench_config_obj(grid=[[8, 2, 1]]), [bench_config_obj()]):
+                bench_config_obj(grid=[[8, 2, 1]]), [bench_config_obj()],
+                bench_config_obj(noise="gaussian"), bench_config_obj(solver="fast")):
         cfg.write_text(json.dumps(bad))
         assert main(["bench", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
     assert main(["gen", "--family", "mixture", "--args", "4,4"]) == 2
     assert "'mixture'" in capsys.readouterr().err
+
+
+def test_missing_noise_key_is_named_alike_by_observe_and_bench(pipeline_files, tmp_path, capsys):
+    theta, _, _ = pipeline_files
+    assert main(["observe", "--theta", str(theta), "--p", "0.8", "--noise", "uniform"]) == 2
+    from_observe = capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bench_config_obj(noise={"kind": "uniform"})))
+    assert main(["bench", "--config", str(cfg)]) == 2
+    from_bench = capsys.readouterr().err
+    assert "'b'" in from_observe
+    assert from_observe == from_bench

@@ -1,12 +1,15 @@
 """Class descriptions, factorizations, assembly, and membership checks."""
 
 import copy
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import structmc
 from structmc import (
     Alphabet,
     Factorization,
@@ -251,3 +254,10 @@ def test_loaders_name_a_missing_key(loader, path):
     load(obj)  # the complete object loads
     with pytest.raises(ParameterError, match=repr(path[-1])):
         load(_drop(obj, path))
+
+
+@pytest.mark.parametrize("module", ["structmc"] + [
+    f"structmc.{info.name}" for info in pkgutil.iter_modules(structmc.__path__)])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -195,6 +195,26 @@ def test_t_b_trivial_branch_on_tiny_grids():
         kl_divergence(hs.thetas[0], hs.thetas[1], 1.0, 1.0), rel=1e-9)
 
 
+@pytest.mark.parametrize("build, spec, c0, cap", [
+    (build_t_z, packing_spec(), 0.5, 8),
+    (build_t_b, packing_spec(n=12, m=12, k_n=6, k_m=6, s_n=1, s_m=1), 0.8, 16),
+    (build_t_b, packing_spec(n=3, m=3, k_n=2, k_m=2, s_n=1, s_m=1), 1.0, 64),
+])
+def test_certificates_are_the_pairwise_extremes_bit_for_bit(build, spec, c0, cap):
+    # the largest KL is read off the largest squared distance; KL grows with
+    # it, so that is the per-pair maximum exactly
+    sigma, p = 1.3, 0.6
+    for seed in (0, 1, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            hs = build(spec, sigma=sigma, p=p, c0=c0, seed=seed, cap=cap)
+        pairs = list(pairwise(hs.thetas))
+        assert hs.min_sq_distance == min(float(np.sum((hs.thetas[i] - hs.thetas[j]) ** 2))
+                                         for i, j in pairs)
+        assert hs.max_kl == max(kl_divergence(hs.thetas[i], hs.thetas[j], p, sigma)
+                                for i, j in pairs)
+
+
 def test_t_b_respects_cap():
     spec = packing_spec(n=12, m=12, k_n=6, k_m=6, s_n=1, s_m=1)
     hs = build_t_b(spec, sigma=1.0, p=1.0, c0=0.5, seed=0, cap=5)
