@@ -8,8 +8,8 @@ switch controls the seconds column ("zero" keeps files byte-identical across
 runs; "wall" records real time).
 
 Work budget: a run is refused up front when the projected work exceeds
-cfg.budget abstract operations (enumeration sizes for exact search, sweep
-cost for coordinate descent, n*m*min(n,m) per SVD, summed over the adaptive
+cfg.budget abstract operations (estimators.projected_work per estimator
+call: enumeration size, sweep cost, SVD cost, summed over the adaptive
 grid); refusals raised by an estimator mid-run are recorded as per-row
 status, never as aborts. Any other exception marks its row failed and is
 logged as a warning on the "structmc.bench" logger with its class and message.
@@ -21,21 +21,18 @@ import inspect
 import logging
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ParameterError, _field, _loader, assemble, norms
+from .core import ParameterError, _field, _known, _loader, assemble, norms
 from .estimators import (
     METHODS,
-    ROW_CANDIDATE_LIMIT,
     EnumerationRefusal,
     SolverConfig,
-    _cell_method,
     block_coordinate_ls,  # noqa: F401 - perfbench's tracer test checks that bench binds it
-    enumeration_size,
     estimate,
-    row_candidate_count,
+    projected_work,
     spectral_threshold,
 )
 from .rates import rate_components
@@ -135,25 +132,22 @@ CSV_HEADER = ",".join(_COLUMNS)
 @_loader("bench config")
 def bench_config_from_obj(obj: dict) -> BenchConfig:
     """Parse the bench config JSON object (see README for the shape)."""
-    if not isinstance(obj, dict):
-        raise ParameterError("bench config must be a JSON object")
+    _known(obj, ("family", "grid", "p", "noise", "method", "solver", "replicas", "seed",
+                 "constant", "out", "timing", "budget"), "bench config")
 
     def req(key):
         return _field(obj, key, "bench config")
 
-    solver_obj = obj.get("solver", {})
-    if not isinstance(solver_obj, dict):
-        raise ParameterError(f"bench config 'solver' must be a JSON object, got {solver_obj!r}")
+    # absent keys keep SolverConfig's defaults
+    kinds = {"restarts": int, "max_iterations": int, "tol": float, "exhaustive_limit": int}
+    solver_obj = _known(obj.get("solver", {}), kinds, "bench config 'solver'")
     return BenchConfig(
         family=req("family"),
         grid=tuple(tuple(g) for g in req("grid")),
         p_values=tuple(float(p) for p in req("p")),
         noise=NoiseKind.from_obj(obj.get("noise", {})),
         method=req("method"),
-        # absent keys keep SolverConfig's defaults
-        solver=SolverConfig(**{key: kind(solver_obj[key]) for key, kind in (
-            ("restarts", int), ("max_iterations", int), ("tol", float),
-            ("exhaustive_limit", int)) if key in solver_obj}),
+        solver=SolverConfig(**{key: kinds[key](v) for key, v in solver_obj.items()}),
         replicas=int(req("replicas")),
         seed=int(obj.get("seed", 0)),
         constant=None if obj.get("constant") is None else float(obj["constant"]),
@@ -178,41 +172,13 @@ def _family_for(name: str, args: tuple) -> ModelFamily:
 
 # ---------- work budget ---------- #
 
-def _cell_work(method: str, spec, solver: SolverConfig) -> float:
-    """Projected abstract operations for one estimator call; instant refusals
-    cost nothing."""
-
-    def side_count(k, s, alphabet):
-        if s == 0:
-            return 1
-        if alphabet.kind == "finite":
-            c = row_candidate_count(k, s, alphabet)
-            return 0 if c > ROW_CANDIDATE_LIMIT else c
-        return sum(math.comb(k, j) for j in range(s + 1))
-
-    if method == "exact":
-        return float(enumeration_size(spec)) if _cell_method(spec, solver) == "exact" else 0.0
-    if method == "bcd":
-        cx = side_count(spec.k_n, spec.s_n, spec.alphabet_n)
-        cz = side_count(spec.k_m, spec.s_m, spec.alphabet_m)
-        if cx == 0 or cz == 0:
-            return 0.0
-        return float(solver.restarts * solver.max_iterations * (spec.n * cx + spec.m * cz))
-    if method == "svt":
-        return float(spec.n * spec.m * min(spec.n, spec.m))
-    # adaptive: over its sparsity grid, the cost of the solver each cell runs
-    cells = (replace(spec, s_n=s_n, s_m=s_m)
-             for s_n in range(1, spec.k_n + 1) for s_m in range(1, spec.k_m + 1))
-    return sum(_cell_work(_cell_method(c, solver), c, solver) for c in cells)
-
-
 def estimate_work(cfg: BenchConfig) -> float:
     """Total projected abstract operations for the whole run."""
     total = 0.0
     for args in cfg.grid:
         fam = _family_for(cfg.family, args)
         spec = _family_spec(fam, cfg.seed)
-        total += len(cfg.p_values) * cfg.replicas * _cell_work(cfg.method, spec, cfg.solver)
+        total += len(cfg.p_values) * cfg.replicas * projected_work(cfg.method, spec, cfg.solver)
     return total
 
 

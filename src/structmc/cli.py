@@ -119,15 +119,23 @@ def gen_cmd(family, args_csv, spec_file, seed, out_theta, out_factorization, out
 @click.option("--p", required=True, type=float, help="Bernoulli sampling probability")
 @click.option("--noise", "noise_kind", default="none",
               type=click.Choice(list(NOISE_KINDS)))
-@click.option("--sigma", default=0.0, type=float)
-@click.option("--scale", default=0.0, type=float)
-@click.option("--b", default=None, type=float)
+@click.option("--sigma", default=None, type=float, help="gaussian kinds; default 0")
+@click.option("--scale", default=None, type=float, help="rademacher; default 0")
+@click.option("--b", default=None, type=float, help="uniform, truncated_gaussian")
 @click.option("--seed", default=0, type=int)
 @click.option("--out", default=None)
 def observe_cmd(theta_file, p, noise_kind, sigma, scale, b, seed, out):
     """Mask and corrupt a ground-truth matrix."""
     theta = matrix_from_obj(load_json(theta_file))
-    kind = NoiseKind.from_obj({"kind": noise_kind, "sigma": sigma, "scale": scale, "b": b})
+    used = NOISE_KINDS[noise_kind][1]
+    given = {"sigma": sigma, "scale": scale, "b": b}
+    stray = [f"--{key}" for key, v in given.items() if v is not None and key not in used]
+    if stray:
+        raise ParameterError(f"--noise {noise_kind} does not use {', '.join(stray)}")
+    # --sigma and --scale default to 0; --b has none, so a kind that needs it names it
+    values = {"sigma": 0.0 if sigma is None else sigma, "scale": 0.0 if scale is None else scale,
+              "b": b}
+    kind = NoiseKind.from_obj({"kind": noise_kind, **{key: values[key] for key in used}})
     n, m = theta.shape
     mask = sample_mask(n, m, p, seed)
     noise = sample_noise(kind, n, m, seed)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -348,6 +348,18 @@ def _field(obj: dict, key: str, what: str):
         raise ParameterError(f"{what} JSON is missing required key {key!r}") from None
 
 
+def _known(obj, keys, what: str) -> dict:
+    """obj, once it is a JSON object with no key outside keys; otherwise a
+    ParameterError that names the stray key, so a misspelt optional key is
+    never silently replaced by its default."""
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{what} must be a JSON object, got {obj!r}")
+    for key in obj:
+        if key not in keys:
+            raise ParameterError(f"{what} JSON has unknown key {key!r}")
+    return obj
+
+
 def _loader(what: str):
     """Report a value of the wrong type or form in a loaded JSON object as a
     ParameterError naming the object; the package's own errors pass."""
@@ -364,8 +376,12 @@ def _loader(what: str):
     return wrap
 
 
+_MATRIX_KEYS = ("rows", "cols", "data")
+
+
 @_loader("matrix")
 def matrix_from_obj(obj: dict) -> np.ndarray:
+    _known(obj, _MATRIX_KEYS, "matrix")
     rows, cols = int(_field(obj, "rows", "matrix")), int(_field(obj, "cols", "matrix"))
     data = np.asarray(_field(obj, "data", "matrix"), dtype=float)
     if data.size != rows * cols:
@@ -384,7 +400,8 @@ def observation_to_obj(obs: Observation) -> dict:
 
 @_loader("observation")
 def observation_from_obj(obj: dict) -> Observation:
-    y = matrix_from_obj(obj)
+    _known(obj, (*_MATRIX_KEYS, "mask", "p", "sigma", "b"), "observation")
+    y = matrix_from_obj({key: obj[key] for key in _MATRIX_KEYS if key in obj})
     mask = np.asarray(_field(obj, "mask", "observation"), dtype=float).reshape(y.shape)
     b = obj.get("b")
     return Observation(y=y, mask=mask, p=float(_field(obj, "p", "observation")),
@@ -397,6 +414,7 @@ def factorization_to_obj(f: Factorization) -> dict:
 
 
 def factorization_from_obj(obj: dict) -> Factorization:
+    _known(obj, ("x", "b", "z"), "factorization")
     x, b, z = (matrix_from_obj(_field(obj, key, "factorization")) for key in ("x", "b", "z"))
     return Factorization(x=x, b=b, z=z)
 
@@ -410,9 +428,11 @@ def _alphabet_to_obj(a: Alphabet) -> dict:
 def _alphabet_from_obj(obj: dict) -> Alphabet:
     kind = _field(obj, "kind", "alphabet")
     if kind == "finite":
+        _known(obj, ("kind", "values"), "finite alphabet")
         return Alphabet(kind="finite",
                         values=tuple(float(v) for v in _field(obj, "values", "alphabet")))
     if kind == "interval":
+        _known(obj, ("kind", "lo", "hi"), "interval alphabet")
         return Alphabet.interval(_field(obj, "lo", "alphabet"), _field(obj, "hi", "alphabet"))
     raise ParameterError(f"unknown alphabet kind {kind!r}")
 
@@ -430,6 +450,8 @@ def spec_to_obj(spec: StructureSpec) -> dict:
 
 @_loader("spec")
 def spec_from_obj(obj: dict) -> StructureSpec:
+    _known(obj, [f.name for f in fields(StructureSpec)], "spec")
+
     def req(key):
         return _field(obj, key, "spec")
 

@@ -11,6 +11,11 @@ and B is the masked block mean. Otherwise the Gram, symmetric PSD, is solved
 by its eigendecomposition (eigh). Either way the cutoff _RCOND applies to the
 Gram's eigenvalues, so design singular values below sqrt(_RCOND) * sigma_max
 (1e-5 relative) are treated as zero.
+
+The least-squares cores _exact and _bcd minimize sum_ij w_ij (T_ij - theta_ij)^2
+for a target T and weights w, which must be 0/1 with T zero wherever w is 0
+(the B-solve forms X^T T Z unweighted). exact_least_squares and
+block_coordinate_ls fit (Y/p, mask); adaptive_penalized fits (Y, mask).
 """
 
 from __future__ import annotations
@@ -88,14 +93,18 @@ class EstimateResult:
 
 # ---------- candidate row enumeration ---------- #
 
+def _row_count(k: int, s: int, alphabet: Alphabet | None = None) -> int:
+    """Sum_{j<=s} C(k, j) d^j, the rows one row update scores: d = |D| for a
+    finite alphabet D, else 1 (an interval row is solved once per support)."""
+    d = len(alphabet.values) if alphabet is not None and alphabet.kind == "finite" else 1
+    return sum(math.comb(k, j) * d ** j for j in range(s + 1))
+
+
 def row_candidate_count(k: int, s: int, alphabet: Alphabet) -> int:
     """Sum_{j<=s} C(k, j) |D|^j — the documented per-row enumeration size."""
-    if s == 0:
-        return 1
-    if alphabet.kind != "finite":
+    if s > 0 and alphabet.kind != "finite":
         raise ParameterError("candidate rows are enumerable for finite alphabets only")
-    d = len(alphabet.values)
-    return sum(math.comb(k, j) * d ** j for j in range(s + 1))
+    return _row_count(k, s, alphabet)
 
 
 def enumeration_size(spec: StructureSpec) -> int | None:
@@ -105,10 +114,9 @@ def enumeration_size(spec: StructureSpec) -> int | None:
     size = 1
     for s, k, rows, alph in ((spec.s_n, spec.k_n, spec.n, spec.alphabet_n),
                              (spec.s_m, spec.k_m, spec.m, spec.alphabet_m)):
-        if s > 0:
-            if alph.kind != "finite":
-                return None
-            size *= row_candidate_count(k, s, alph) ** rows
+        if s > 0 and alph.kind != "finite":
+            return None
+        size *= _row_count(k, s, alph) ** rows
     return size
 
 
@@ -136,8 +144,8 @@ def _solve_b(x: np.ndarray, z: np.ndarray, mask: np.ndarray, yp: np.ndarray) -> 
     shape (c|1, n, k_n) and z of shape (c|1, m, k_m), a batch of one being
     shared by every pair; returns (c, k_n, k_m).
 
-    Solves the normal equations G vec(B) = X^T Y' Z (yp is zero off the
-    mask, as Observation guarantees), where G = sum_ij E_ij (x_i x_i^T) kron
+    Solves the normal equations G vec(B) = X^T Y' Z (yp is zero off the mask,
+    see the module docstring), where G = sum_ij E_ij (x_i x_i^T) kron
     (z_j z_j^T), never forming the (n m, k_n k_m) design:
     - if every row of x and of z has at most one nonzero (one-hot factors, an
       identity side), G is diagonal, d = ((x*x)^T E)(z*z), and B is the masked
@@ -219,19 +227,22 @@ def _masked_objs(yp, mask, x, b, z) -> np.ndarray:
 # ---------- exact least squares ---------- #
 
 def exact_least_squares(obs: Observation, spec: StructureSpec, cfg: SolverConfig) -> EstimateResult:
-    """Global minimizer of the masked residual over the finite class.
+    """Global minimizer of the masked residual of Y' over the finite class.
 
     Enumerates X in A_{s_n} and Z in A_{s_m} (row products of the per-row
     candidate lists), solving B in closed form for each pair. Ties go to the
     first candidate in the documented enumeration order. Refuses when the
     undeduped enumeration size exceeds cfg.exhaustive_limit.
     """
-    for s, alph, side in ((spec.s_n, spec.alphabet_n, "X"), (spec.s_m, spec.alphabet_m, "Z")):
-        if s > 0 and alph.kind != "finite":
-            raise ParameterError(
-                f"exact search needs a finite alphabet for {side}; use block_coordinate_ls"
-            )
+    return _exact(obs.y_rescaled, obs.mask, spec, cfg)
+
+
+def _exact(target, weights, spec: StructureSpec, cfg: SolverConfig) -> EstimateResult:
+    """exact_least_squares on target T and weights w (see the module docstring)."""
     size = enumeration_size(spec)
+    if size is None:
+        raise ParameterError("exact search needs a finite alphabet on every side with s > 0; "
+                             "use block_coordinate_ls")
     if size > cfg.exhaustive_limit:
         raise EnumerationRefusal(
             f"enumeration size {size} exceeds exhaustive_limit "
@@ -239,8 +250,7 @@ def exact_least_squares(obs: Observation, spec: StructureSpec, cfg: SolverConfig
         )
 
     n, m = spec.n, spec.m
-    yp = obs.y_rescaled
-    mask = obs.mask
+    yp, mask = target, weights
 
     if spec.s_n == 0:
         x_rows, x_iter = None, [np.eye(n)]
@@ -330,7 +340,7 @@ def _update_rows_interval(y, mask, p_rows, rows_cur, s, lo, hi):
 
     best_rows = rows_cur.copy()
     best_obj = quad_obj(rows_cur)
-    if sum(math.comb(k, j) for j in range(s + 1)) <= _SUPPORT_LIMIT:
+    if _row_count(k, s) <= _SUPPORT_LIMIT:
         offer(np.zeros((r, k)))
         for j in range(1, s + 1):
             sups = np.array(list(itertools.combinations(range(k), j)))    # (t, j)
@@ -390,17 +400,26 @@ def block_coordinate_ls(obs: Observation, spec: StructureSpec, cfg: SolverConfig
     exhaustive per-row argmin, continuous rows and clipped B by the
     accept-only-if-not-worse rule).
     """
-    for s, alph, k, side in ((spec.s_n, spec.alphabet_n, spec.k_n, "X"),
-                             (spec.s_m, spec.alphabet_m, spec.k_m, "Z")):
-        if s > 0 and alph.kind == "finite":
-            count = row_candidate_count(k, s, alph)
-            if count > ROW_CANDIDATE_LIMIT:
-                raise EnumerationRefusal(
-                    f"per-row candidate count {count} for {side} exceeds {ROW_CANDIDATE_LIMIT}"
-                )
+    return _bcd(obs.y_rescaled, obs.mask, spec, cfg, seed, trace, path)
 
-    yp = obs.y_rescaled
-    mask = obs.mask
+
+def _bcd_rows(spec: StructureSpec) -> tuple[int, int]:
+    """The rows one row update of X and of Z scores; refuses a finite side
+    whose per-row candidate count exceeds ROW_CANDIDATE_LIMIT."""
+    alphs = (spec.alphabet_n, spec.alphabet_m)
+    counts = (_row_count(spec.k_n, spec.s_n, alphs[0]), _row_count(spec.k_m, spec.s_m, alphs[1]))
+    for count, alph, side in zip(counts, alphs, "XZ"):
+        if alph.kind == "finite" and count > ROW_CANDIDATE_LIMIT:
+            raise EnumerationRefusal(
+                f"per-row candidate count {count} for {side} exceeds {ROW_CANDIDATE_LIMIT}")
+    return counts
+
+
+def _bcd(target, weights, spec: StructureSpec, cfg: SolverConfig, seed: int,
+         trace: list | None = None, path: tuple[int, ...] = ()) -> EstimateResult:
+    """block_coordinate_ls on target T and weights w (see the module docstring)."""
+    _bcd_rows(spec)
+    yp, mask = target, weights
     cand_x = (None if spec.s_n == 0 or spec.alphabet_n.kind != "finite"
               else _candidate_rows(spec.k_n, spec.s_n, spec.alphabet_n, spec.bounded))
     cand_z = (None if spec.s_m == 0 or spec.alphabet_m.kind != "finite"
@@ -540,6 +559,26 @@ def _cell_method(spec: StructureSpec, cfg: SolverConfig) -> str:
     return "exact" if size is not None and size <= cfg.exhaustive_limit else "bcd"
 
 
+def projected_work(method: str, spec: StructureSpec, cfg: SolverConfig) -> float:
+    """Abstract operations of one estimate(method, ...) call: the enumeration
+    size for exact, restarts * max_iterations * (n rows_X + m rows_Z) for bcd
+    (rows per _bcd_rows), n m min(n, m) for the SVD of svt, and over
+    adaptive's grid the cost of each cell's solver. A refusal costs nothing."""
+    if method == "exact":
+        return float(enumeration_size(spec)) if _cell_method(spec, cfg) == "exact" else 0.0
+    if method == "bcd":
+        try:
+            cx, cz = _bcd_rows(spec)
+        except EnumerationRefusal:
+            return 0.0
+        return float(cfg.restarts * cfg.max_iterations * (spec.n * cx + spec.m * cz))
+    if method == "svt":
+        return float(spec.n * spec.m * min(spec.n, spec.m))
+    cells = (replace(spec, s_n=s_n, s_m=s_m)
+             for s_n in range(1, spec.k_n + 1) for s_m in range(1, spec.k_m + 1))
+    return sum(projected_work(_cell_method(c, cfg), c, cfg) for c in cells)
+
+
 def adaptive_penalized(obs: Observation, base_spec: StructureSpec, lam: float,
                        cfg: SolverConfig, seed: int) -> EstimateResult:
     """Penalized least squares over the sparsity grid [1..k_n] x [1..k_m].
@@ -562,25 +601,20 @@ def adaptive_penalized(obs: Observation, base_spec: StructureSpec, lam: float,
     if gaps and lam * min(gaps) > float(np.sum(obs.y * obs.y)):
         warnings.warn("lambda * (smallest penalty gap to (1, 1)) exceeds ||Y_Omega||^2: "
                       "the penalty alone selects (1, 1)", stacklevel=2)
-    # p = 1 wrapper: the solvers' masked objective then equals ||Y - theta_Omega||^2
-    raw = Observation(y=obs.y, mask=obs.mask, p=1.0, sigma=obs.sigma, b=obs.b)
 
     best = None
     for (s_n, s_m), pen in pens.items():
         spec_s = replace(base_spec, s_n=s_n, s_m=s_m)
         if _cell_method(spec_s, cfg) == "exact":
-            res = exact_least_squares(raw, spec_s, cfg)
+            res = _exact(obs.y, obs.mask, spec_s, cfg)
         else:
-            res = block_coordinate_ls(raw, spec_s, cfg, seed, path=(s_n, s_m))
+            res = _bcd(obs.y, obs.mask, spec_s, cfg, seed, path=(s_n, s_m))
         key = (res.objective + lam * pen, s_n + s_m, s_n)
         if best is None or key < best[0]:
             best = (key, (s_n, s_m), res)
 
     key, sel, res = best
-    return EstimateResult(theta_hat=res.theta_hat, objective=key[0],
-                          factorization=res.factorization, selected_s=sel,
-                          iterations=res.iterations, restarts_used=res.restarts_used,
-                          converged=res.converged)
+    return replace(res, objective=key[0], selected_s=sel)
 
 
 def estimate(method: str, obs: Observation, spec: StructureSpec, cfg: SolverConfig,

@@ -27,6 +27,7 @@ from .core import (
     ParameterError,
     ShapeError,
     StructureSpec,
+    _known,
 )
 
 __all__ = [
@@ -112,13 +113,13 @@ class NoiseKind:
     @classmethod
     def from_obj(cls, obj) -> "NoiseKind":
         """Parse {"kind": <a key of NOISE_KINDS>, ...}; kind defaults to none,
-        and every key the kind requires must be present and not null."""
-        if not isinstance(obj, dict):
-            raise ParameterError(f"noise must be a JSON object, got {obj!r}")
-        kind = obj.get("kind", "none")
+        every key the kind requires must be present and not null, and no
+        other key may be."""
+        kind = _known(obj, ("kind", "sigma", "scale", "b"), "noise").get("kind", "none")
         if kind not in NOISE_KINDS:
             raise ParameterError(f"unknown noise kind {kind!r}")
         variant, keys = NOISE_KINDS[kind]
+        _known(obj, ("kind", *keys), f"{kind} noise")
         for key in keys:
             if obj.get(key) is None:
                 raise ParameterError(f"{kind} noise needs {key!r}")

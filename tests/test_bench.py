@@ -108,15 +108,13 @@ def test_adaptive_cells_follow_the_one_cell_rule(monkeypatch):
     solved = {"exact": [], "bcd": []}
 
     def counting(method, solver):
-        def run(obs, spec_s, *args, **kwargs):
+        def run(target, weights, spec_s, *args, **kwargs):
             solved[method].append((spec_s.s_n, spec_s.s_m))
-            return solver(obs, spec_s, *args, **kwargs)
+            return solver(target, weights, spec_s, *args, **kwargs)
         return run
 
-    monkeypatch.setattr(estimators, "exact_least_squares",
-                        counting("exact", estimators.exact_least_squares))
-    monkeypatch.setattr(estimators, "block_coordinate_ls",
-                        counting("bcd", estimators.block_coordinate_ls))
+    monkeypatch.setattr(estimators, "_exact", counting("exact", estimators._exact))
+    monkeypatch.setattr(estimators, "_bcd", counting("bcd", estimators._bcd))
     fact, _ = generate(ModelFamily.generic(spec), 3)
     obs = observe(assemble(fact), np.ones((2, 2)), np.zeros((2, 2)), 1.0)
     estimators.adaptive_penalized(obs, spec, 1.0, cfg, seed=0)

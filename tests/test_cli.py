@@ -1,11 +1,15 @@
 """Command-line surface: subcommands, JSON payloads, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from structmc.bench import bench_config_from_obj
 from structmc.cli import main
+from structmc.core import ParameterError, factorization_from_obj, matrix_to_obj, spec_from_obj
 
 
 def run(capsys, *argv):
@@ -412,3 +416,62 @@ def test_missing_noise_key_is_named_alike_by_observe_and_bench(pipeline_files, t
     from_bench = capsys.readouterr().err
     assert "'b'" in from_observe
     assert from_observe == from_bench
+
+
+# ---- unknown keys ------------------------------------------------------------------ #
+
+def test_misspelt_keys_exit_2_naming_the_key(pipeline_files, tmp_path, capsys):
+    theta, spec, obs = pipeline_files
+    spec_obj, theta_obj, obs_obj = (json.loads(f.read_text()) for f in (spec, theta, obs))
+    alphabet = {"kind": "finite", "values": [0.0, 1.0], "hi": 1.0}
+    cases = (  # (the option that reads the file, other arguments, its object, the stray key)
+        (["bench", "--config"], [], bench_config_obj(nosie={"kind": "none"}), "nosie"),
+        (["bench", "--config"], [], bench_config_obj(solver={"restart": 2}), "restart"),
+        (["bench", "--config"], [],
+         bench_config_obj(noise={"kind": "gaussian", "sigma": 1, "sgima": 2}), "sgima"),
+        (["bench", "--config"], [],
+         bench_config_obj(noise={"kind": "uniform", "b": 1, "sigma": 2}), "sigma"),
+        (["rates", "--spec"], [], {**spec_obj, "bounde": True}, "bounde"),
+        (["rates", "--spec"], [], {**spec_obj, "alphabet_m": alphabet}, "hi"),
+        (["observe", "--theta"], ["--p", "0.5"], {**theta_obj, "colz": 6}, "colz"),
+        (["estimate", "--obs"], ["--method", "bcd", "--spec", str(spec)],
+         {**obs_obj, "pp": 0.5}, "pp"),
+    )
+    bad = tmp_path / "bad.json"
+    for head, rest, obj, key in cases:
+        bad.write_text(json.dumps(obj))
+        assert main([*head, str(bad), *rest]) == 2, key
+        assert repr(key) in capsys.readouterr().err, key
+
+
+def test_the_documented_misspelling_is_no_longer_a_silent_noiseless_run(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bench_config_obj(solver={"restart": 2},
+                                               nosie={"kind": "gaussian", "sigma": 1})))
+    assert main(["bench", "--config", str(cfg)]) == 2
+    assert "unknown key" in capsys.readouterr().err
+
+
+def test_factorization_loader_names_an_unknown_key():
+    obj = {key: matrix_to_obj(np.eye(2)) for key in ("x", "b", "z")}
+    assert factorization_from_obj(obj).b.shape == (2, 2)
+    with pytest.raises(ParameterError, match="'y'"):
+        factorization_from_obj({**obj, "y": matrix_to_obj(np.eye(2))})
+
+
+def test_observe_rejects_noise_flags_its_kind_does_not_use(pipeline_files, capsys):
+    theta, _, _ = pipeline_files
+    assert main(["observe", "--theta", str(theta), "--p", "0.8", "--noise", "uniform",
+                 "--b", "0.4", "--sigma", "2"]) == 2
+    assert "--sigma" in capsys.readouterr().err
+    # gaussian without --sigma keeps the documented default sigma = 0
+    code, out = run(capsys, "observe", "--theta", str(theta), "--p", "0.8", "--noise", "gaussian")
+    assert code == 0 and json.loads(out)["sigma"] == 0.0
+
+
+def test_readme_json_snippets_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    snippets = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    assert len(snippets) == 2
+    for obj in snippets:
+        (bench_config_from_obj if "family" in obj else spec_from_obj)(obj)

@@ -632,3 +632,25 @@ def test_adaptive_warns_below_calibrated_regime():
     base, obs = adaptive_case(n=3)
     with pytest.warns(UserWarning):
         adaptive_penalized(obs, base, 1.0, SolverConfig(restarts=1), seed=0)
+
+
+def test_adaptive_at_p_below_one_fits_the_unrescaled_masked_residual():
+    # at p = 0.5 the cores must see Y over the mask, not Y' = Y/p: the selected
+    # objective is the p = 1 grid oracle and the masked residual of Y itself
+    base, full = adaptive_case()
+    rng = np.random.default_rng(8)
+    mask = (rng.random(full.shape) < 0.5).astype(float)
+    obs = Observation(y=full.y * mask, mask=mask, p=0.5, sigma=full.sigma)
+    lam = 0.05
+    cfg = SolverConfig(restarts=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = adaptive_penalized(obs, base, lam, cfg, seed=3)
+    unrescaled = Observation(y=obs.y, mask=obs.mask, p=1.0)
+    best = min(block_coordinate_ls(unrescaled, replace(base, s_n=sn, s_m=sm), cfg, seed=3,
+                                   path=(sn, sm)).objective + lam * penalty(sn, sm, base)
+               for sn in range(1, base.k_n + 1) for sm in range(1, base.k_m + 1))
+    assert got.objective == pytest.approx(best, rel=1e-9, abs=1e-9)
+    residual = float(np.sum(obs.mask * (obs.y - got.theta_hat) ** 2))
+    assert got.objective == pytest.approx(residual + lam * penalty(*got.selected_s, base),
+                                          rel=0, abs=1e-9)
