@@ -157,11 +157,9 @@ def _solve_b(x: np.ndarray, z: np.ndarray, mask: np.ndarray, yp: np.ndarray) -> 
     _, n, k_n = x.shape
     _, m, k_m = z.shape
     rhs = (x.transpose(0, 2, 1) @ yp) @ z
-    # more nonzeros than rows fails at once; short-axis reductions are slow, so rows
-    # are counted by a matrix-vector product and max(d) reduces a transposed copy
-    if all(np.count_nonzero(f) <= len(f) * f.shape[1]
-           and ((f.reshape(-1, f.shape[2]) != 0) @ np.ones(f.shape[2])).max() <= 1 for f in (x, z)):
+    if _one_sparse(x) and _one_sparse(z):
         d = ((x * x).transpose(0, 2, 1) @ mask) @ (z * z)
+        # max(d) per pair reduces a transposed copy: short-axis reductions are slow
         d_max = np.ascontiguousarray(d.reshape(len(d), -1).T).max(axis=0)
         keep = d > _RCOND * d_max[:, None, None]
         return np.divide(1.0, d, out=np.zeros_like(d), where=keep) * rhs
@@ -172,6 +170,15 @@ def _solve_b(x: np.ndarray, z: np.ndarray, mask: np.ndarray, yp: np.ndarray) -> 
     g = g.reshape(c, k_n, k_n, k_m, k_m).transpose(0, 1, 3, 2, 4)
     kk = k_n * k_m
     return _psd_solve(g.reshape(c, kk, kk), rhs.reshape(c, kk, 1)).reshape(c, k_n, k_m)
+
+
+def _one_sparse(f: np.ndarray) -> bool:
+    """Whether every row of the stack f, shape (c, rows, k), has at most one
+    nonzero: the condition for the diagonal Gram of _solve_b. More nonzeros
+    than rows fails at once; rows are counted by a matrix-vector product,
+    since short-axis reductions are slow."""
+    return bool(np.count_nonzero(f) <= len(f) * f.shape[1]
+                and ((f.reshape(-1, f.shape[2]) != 0) @ np.ones(f.shape[2])).max() <= 1)
 
 
 def _psd_solve(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -226,6 +233,10 @@ def _masked_objs(yp, mask, x, b, z) -> np.ndarray:
 
 # ---------- exact least squares ---------- #
 
+# entries per pair chunk of the exact search, (n m + (k_n k_m)^2) per pair
+_EXACT_CHUNK = 2_000_000
+
+
 def exact_least_squares(obs: Observation, spec: StructureSpec, cfg: SolverConfig) -> EstimateResult:
     """Global minimizer of the masked residual of Y' over the finite class.
 
@@ -238,7 +249,18 @@ def exact_least_squares(obs: Observation, spec: StructureSpec, cfg: SolverConfig
 
 
 def _exact(target, weights, spec: StructureSpec, cfg: SolverConfig) -> EstimateResult:
-    """exact_least_squares on target T and weights w (see the module docstring)."""
+    """exact_least_squares on target T and weights w (see the module docstring).
+
+    When every candidate row of both factors is one-sparse, B is the masked
+    block mean rhs / d of _solve_b, so a pair's residual is ||T_w||^2 -
+    sum(rhs^2 / d) over the kept blocks, with no n x m residual stack. Blocks
+    of X candidates are then ranked against each Z chunk by that closed form,
+    and every pair within 1e-9 (1 + ||T_w||^2) of the least closed-form value
+    seen so far is solved and scored again by _solve_b and _masked_objs: the
+    winner, its B and its objective are those of the direct search. The
+    tolerance scales with ||T_w||^2, not with the objective, because the
+    closed form cancels terms of that size (an exact fit has objective 0).
+    """
     size = enumeration_size(spec)
     if size is None:
         raise ParameterError("exact search needs a finite alphabet on every side with s > 0; "
@@ -249,34 +271,69 @@ def _exact(target, weights, spec: StructureSpec, cfg: SolverConfig) -> EstimateR
             f"{cfg.exhaustive_limit}; use block_coordinate_ls"
         )
 
-    n, m = spec.n, spec.m
+    n, m, k_n, k_m = spec.n, spec.m, spec.k_n, spec.k_m
     yp, mask = target, weights
-
+    # X candidates as index rows into x_rows, in enumeration order; an identity side is one
     if spec.s_n == 0:
-        x_rows, x_iter = None, [np.eye(n)]
+        x_rows, x_index = np.eye(n), iter([tuple(range(n))])
     else:
-        x_rows = _candidate_rows(spec.k_n, spec.s_n, spec.alphabet_n, spec.bounded)
-        x_iter = (x_rows[list(ix)] for ix in itertools.product(range(len(x_rows)), repeat=n))
+        x_rows = _candidate_rows(k_n, spec.s_n, spec.alphabet_n, spec.bounded)
+        x_index = itertools.product(range(len(x_rows)), repeat=n)
     if spec.s_m == 0:
         z_all = np.eye(m)[None, :, :]
     else:
-        z_rows = _candidate_rows(spec.k_m, spec.s_m, spec.alphabet_m, spec.bounded)
-        z_all = np.array([z_rows[list(iz)] for iz in itertools.product(range(len(z_rows)), repeat=m)])
+        z_rows = _candidate_rows(k_m, spec.s_m, spec.alphabet_m, spec.bounded)
+        z_all = z_rows[np.array(list(itertools.product(range(len(z_rows)), repeat=m)))]
 
-    # Z candidates are solved in chunks so the (c, n, m) residuals stay small
-    kk = spec.k_n * spec.k_m
-    chunk = max(1, 2_000_000 // (n * m + kk * kk))
+    # pairs are taken in chunks so the (c, n, m) residuals and the closed
+    # form's (c, k_n, k_m) arrays stay small
+    kk = k_n * k_m
+    chunk = max(1, _EXACT_CHUNK // (n * m + kk * kk))
+    one_sparse = _one_sparse(x_rows[None]) and _one_sparse(z_all)
+    x_block = max(1, chunk // len(z_all)) if one_sparse else 1
+    if one_sparse:
+        # Z as (m, k_m, C): one matmul pairs a block of X with a Z chunk, and
+        # the per-pair reductions run over outer axes, with the pairs contiguous
+        z_cols = np.ascontiguousarray(z_all.transpose(1, 2, 0))
+        zz_cols = z_cols * z_cols
+        t_sq = float(np.sum(mask * yp * yp))
+        tol = 1e-9 * (1.0 + t_sq)
+        least = np.inf
     best = None  # (objective, x, b, z)
     pairs = 0
-    for x in x_iter:
+
+    def score(x, zs):
+        # the direct search over the pairs (x, zs[i]): first least objective wins
+        nonlocal best
+        b = _solve_b(x[None], zs, mask, yp)
+        objs = _masked_objs(yp, mask, x[None], b, zs)
+        c = int(np.argmin(objs))
+        if best is None or objs[c] < best[0]:
+            best = (float(objs[c]), x.copy(), b[c], zs[c].copy())
+
+    while block := list(itertools.islice(x_index, x_block)):
+        xs = x_rows[np.array(block)]
+        if one_sparse:
+            xt = (xs.transpose(0, 2, 1) @ yp).reshape(-1, m)
+            xm = ((xs * xs).transpose(0, 2, 1) @ mask).reshape(-1, m)
         for lo in range(0, len(z_all), chunk):
             zc = z_all[lo:lo + chunk]
-            b = _solve_b(x[None], zc, mask, yp)
-            objs = _masked_objs(yp, mask, x[None], b, zc)
-            c = int(np.argmin(objs))
-            pairs += len(zc)
-            if best is None or objs[c] < best[0]:
-                best = (float(objs[c]), x.copy(), b[c], zc[c].copy())
+            pairs += len(xs) * len(zc)
+            if not one_sparse:
+                score(xs[0], zc)
+                continue
+            shape = (len(xs), k_n, k_m, len(zc))
+            rhs = (xt @ z_cols[:, :, lo:lo + chunk].reshape(m, -1)).reshape(shape)
+            d = (xm @ zz_cols[:, :, lo:lo + chunk].reshape(m, -1)).reshape(shape)
+            # blocks cut as in _solve_b count as empty: their share of the fit is 0
+            d[d <= _RCOND * d.max(axis=(1, 2), keepdims=True)] = np.inf
+            rhs *= rhs
+            rhs /= d
+            objs = t_sq - rhs.sum(axis=(1, 2))
+            least = min(least, float(objs.min()))
+            near = objs <= least + tol
+            for i in np.flatnonzero(near.any(axis=1)):
+                score(xs[i], zc[near[i]])
 
     obj, x_best, b_best, z_best = best
     fact = Factorization(x=x_best, b=b_best, z=z_best)

@@ -74,44 +74,55 @@ class HypothesisSet:
 
 def _greedy_select(candidates_iter, threshold: float, stop_at: int | None = None):
     """Accept candidates whose Hamming distance to every accepted vector is
-    >= threshold; sequential by construction.
+    >= threshold, in the order given (the sequential greedy), examining at
+    most _CANDIDATE_CAP candidates and stopping once stop_at are accepted.
 
-    Candidates must be 0/1 vectors. The distances from a candidate c to the
-    accepted rows are then |a| + |c| - 2 (a @ c), one matrix-vector product
-    that is exact in float64, so the accept decisions are those of the L1
-    distance. Each candidate is written into the next free row of a buffer
-    that doubles when full, and accepting it just advances the row count.
+    Candidates must be 0/1 vectors. The distance between two of them is then
+    |a| + |c| - 2 (a @ c), exact in float64, so the accept decisions are
+    those of the L1 distance; as rows [|c|, 1, -2c] against [1, |a|, a] it
+    is one dot product. Candidates are pulled in blocks of _CERTIFY_BLOCK,
+    or of the acceptances stop_at still wants if fewer. One matmul screens
+    a block against the accepted rows and one against itself; a candidate
+    that passes the screen and is near no earlier passing candidate of its
+    block is accepted, and only the ones near such a candidate are decided
+    one at a time, in order.
     """
-    buf = weights = None
+    acc = None      # rows [1, |a|, a] of the accepted vectors a, doubling when full
     count = 0
     examined = 0
-    for cand in candidates_iter:
-        examined += 1
-        if examined > _CANDIDATE_CAP:
+    # no candidate past the stop is drawn; the first is accepted before any stop
+    wanted = math.inf if stop_at is None else max(stop_at, 1)
+    while examined < _CANDIDATE_CAP and count < wanted:
+        size = min(_CERTIFY_BLOCK, _CANDIDATE_CAP - examined, wanted - count)
+        block = list(itertools.islice(candidates_iter, size))
+        if not block:
             break
-        if buf is None:
-            buf, weights = np.empty((64, len(cand))), np.empty(64)
-        elif count == len(buf):
-            buf = np.concatenate([buf, np.empty_like(buf)])
-            weights = np.concatenate([weights, np.empty_like(weights)])
-        row = buf[count]
-        row[:] = cand
-        weight = row.sum()
-        if count and np.min(weights[:count] + weight - 2.0 * (buf[:count] @ row)) < threshold:
-            continue
-        weights[count] = weight
-        count += 1
-        if stop_at is not None and count >= stop_at:
-            break
-    return [] if buf is None else list(buf[:count])
+        examined += len(block)
+        block = np.array(block, dtype=float)
+        w, ones = block.sum(axis=1), np.ones(len(block))
+        left = np.column_stack([w, ones, -2.0 * block])
+        right = np.column_stack([ones, w, block])
+        ok = np.ones(len(block), dtype=bool)
+        if count:
+            ok = (left @ acc[:count].T).min(axis=1) >= threshold
+        near = np.triu(left @ right.T < threshold, 1) & ok[:, None]
+        for j in np.flatnonzero(ok & near.any(axis=0)):
+            ok[j] = not np.any(ok[:j] & near[:j, j])
+        take = np.flatnonzero(ok)
+        if acc is None:
+            acc = np.empty((_CERTIFY_BLOCK, right.shape[1]))
+        if count + len(take) > len(acc):
+            acc = np.concatenate([acc, np.empty_like(acc)])
+        acc[count:count + len(take)] = right[take]
+        count += len(take)
+    return [] if acc is None else list(acc[:count, 2:])
 
 
 def _weight_s_candidates(k: int, s: int, rng):
     total = math.comb(k, s)
     if total <= _CANDIDATE_CAP:
         rows = np.zeros((total, k))
-        for i, support in enumerate(itertools.combinations(range(k), s)):
-            rows[i, list(support)] = 1.0
+        np.put_along_axis(rows, np.array(list(itertools.combinations(range(k), s))), 1.0, axis=1)
         for i in rng.permutation(total):
             yield rows[i]
     else:

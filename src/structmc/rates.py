@@ -155,7 +155,8 @@ def _covering_terms(spec: StructureSpec, u: float):
     Validates u and the spec once and hoists every epsilon-free part (the
     entropy terms, the coefficients and the numerators of the log
     arguments) and drops the log terms that vanish for every eps; a call
-    then checks eps and takes the remaining logs.
+    then checks eps and takes the remaining logs: math.log on a float, or
+    np.log elementwise on an array of eps, every entry checked.
     """
     if not (0.0 < u <= 1.0):
         raise ParameterError(f"u must lie in (0, 1], got {u}")
@@ -192,7 +193,18 @@ def _covering_terms(spec: StructureSpec, u: float):
              (0.0, active((coef_dense, u3))))
     log = math.log
 
-    def terms(epsilon: float) -> list[float]:
+    def terms(epsilon):
+        if isinstance(epsilon, np.ndarray):
+            inside = (epsilon > 0.0) & (epsilon <= 1.0)
+            if not np.all(inside):
+                raise ParameterError(f"epsilon must lie in (0, 1], got {epsilon[~inside].flat[0]}")
+            out = []
+            for r, logs in parts:
+                r = np.full(epsilon.shape, r)
+                for coef, num in logs:
+                    r += np.maximum(coef * np.log(num / epsilon), 0.0)
+                out.append(r)
+            return out
         if not (0.0 < epsilon <= 1.0):
             raise ParameterError(f"epsilon must lie in (0, 1], got {epsilon}")
         out = []
@@ -220,11 +232,15 @@ def covering_bounds(spec: StructureSpec, u: float, epsilon: float) -> CoveringRe
 def covering_min_bound(spec: StructureSpec, u: float):
     """Callable eps -> min(R1..R4)(eps), the surrogate fed to critical_radius.
 
-    u and the spec are validated here, once; each call checks only eps.
+    u and the spec are validated here, once; each call checks only eps. An
+    array of eps gives the array of values, each within an ulp or two of the
+    float call's (np.log against math.log); every entry must lie in (0, 1].
     """
     terms = _covering_terms(spec, u)
 
-    def fn(eps: float) -> float:
+    def fn(eps):
+        if isinstance(eps, np.ndarray):
+            return np.minimum.reduce(terms(eps))
         return min(terms(eps))
     return fn
 
@@ -237,16 +253,30 @@ def critical_radius(total_entries: float, covering_fn) -> float:
     """The entropy fixed point: N eps^2 crosses the log-cover estimate.
 
     Bisection of g(eps) = N eps^2 - covering_fn(eps) on (1e-8, 1], 200
-    iterations. covering_fn must be non-increasing (checked on a log-spaced
-    probe grid; violations raise ContractViolationError). At a continuity
-    point the result satisfies the half/full sandwich exactly; across a jump
-    it falls back to the average of the inf/sup characterization on the grid.
+    iterations. covering_fn must be non-increasing and never NaN, which is
+    checked on a log-spaced probe grid of 10,000 points (violations raise
+    ContractViolationError); +inf is allowed. At a continuity point the
+    result satisfies the half/full sandwich exactly; across a jump it falls
+    back to the average of the inf/sup characterization on the grid.
+
+    covering_fn is called once with the whole probe grid, a float64 array,
+    and must return the values there as an array of the grid's shape or as
+    one value for every eps (a constant such as lambda e: 25.0). The
+    bisection calls it with floats.
     """
     n_total = float(total_entries)
     if n_total <= 0:
         raise ParameterError("total_entries must be positive")
     grid = np.logspace(math.log10(_EPS_MIN), 0.0, _GRID_POINTS)
-    cover = np.array([covering_fn(float(e)) for e in grid])
+    cover = np.asarray(covering_fn(grid), dtype=float)
+    if cover.shape not in ((), grid.shape):
+        raise ContractViolationError(
+            f"covering_fn must return one value or one per eps of the probe grid, "
+            f"got shape {cover.shape}")
+    cover = np.broadcast_to(cover, grid.shape)
+    if np.any(np.isnan(cover)):
+        i = int(np.argmax(np.isnan(cover)))
+        raise ContractViolationError(f"covering_fn returned NaN at eps={grid[i]:.3g}")
     rises = np.diff(cover) > 1e-9 * np.maximum(1.0, np.abs(cover[:-1]))
     if np.any(rises):
         i = int(np.argmax(rises))

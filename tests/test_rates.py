@@ -297,6 +297,55 @@ def test_critical_radius_degenerate_cover():
         critical_radius(0.0, lambda e: 1.0)
 
 
+def test_probe_is_one_call_on_the_grid_and_a_constant_broadcasts():
+    shapes = []
+
+    def constant(e):
+        shapes.append(np.shape(e))
+        return 25.0
+    assert critical_radius(100.0, constant) == critical_radius(100.0, lambda e: 25.0)
+    # one probe call on the 10,000-point grid, then the bisection's float calls
+    assert shapes[0] == (10_000,)
+    assert len(shapes) > 200 and all(shape == () for shape in shapes[1:])
+
+
+def test_critical_radius_rejects_nan():
+    with pytest.raises(ContractViolationError, match="NaN"):
+        critical_radius(10.0, lambda e: float("nan"))
+    # NaN on part of the grid only
+    with pytest.raises(ContractViolationError, match="NaN"):
+        critical_radius(100.0, lambda e: np.where(np.asarray(e) > 0.9, np.nan, 25.0))
+
+
+def test_critical_radius_allows_inf_at_small_eps():
+    def cover(e):
+        return np.where(np.asarray(e) < 1e-6, np.inf, 25.0)
+    assert critical_radius(100.0, cover) == critical_radius(100.0, lambda e: 25.0)
+
+
+def test_critical_radius_rejects_a_result_of_the_wrong_shape():
+    with pytest.raises(ContractViolationError, match="shape"):
+        critical_radius(100.0, lambda e: np.full(3, 25.0))
+
+
+@pytest.mark.parametrize("spec, u", EXACTNESS_SPECS)
+def test_covering_min_bound_on_an_array_matches_the_float_calls(spec, u):
+    fn = covering_min_bound(spec, u)
+    grid = np.logspace(-8.0, 0.0, 2000)
+    got = fn(grid)
+    assert got.shape == grid.shape and got.dtype == np.float64
+    np.testing.assert_array_max_ulp(got, [fn(float(e)) for e in grid], maxulp=2)
+
+
+def test_covering_min_bound_rejects_an_array_with_eps_outside_the_domain():
+    fn = covering_min_bound(bounded_spec(2, 2, 2, 2, 1, 1), 1.0)
+    for bad_eps in (0.0, 1.0 + 1e-12, 1.1, -0.5, np.nan):
+        grid = np.linspace(0.1, 1.0, 7)
+        grid[3] = bad_eps
+        with pytest.raises(ParameterError, match="epsilon"):
+            fn(grid)
+
+
 # ---- KL ------------------------------------------------------------------- #
 
 def test_kl_hand_values():
