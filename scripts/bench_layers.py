@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Per-layer timings of the B-solve, one bcd fit, and the oracle and theory paths.
 
-Times six layers, each as the minimum over --repeat calls on fixed seeds:
+Times seven layers, each as the minimum over --repeat calls on fixed seeds:
 
     b_solve        solve_b_given_xz on a block model, n = m = 320, k = 10, p = 0.5
                    (one-hot factors: the diagonal Gram)
@@ -13,6 +13,9 @@ Times six layers, each as the minimum over --repeat calls on fixed seeds:
     critical_radius  the covering surrogate's fixed point on a 32 x 24 bounded
                    class with interval alphabets, k = 3, s = 1, u = 0.5
     packing        sparse_binary_packing(24, 3)
+    hypothesis_sets  build_t_z (cap 8) and build_t_b (cap 16) on bounded binary
+                   classes, sigma = 1, p = 0.7: 24 x 10 with k = (24, 6),
+                   s = (1, 2), and 12 x 12 with k = 6, s = 1
 
 and stores them under --label in the JSON file --out, next to what other
 labels already hold there, with the core count, the BLAS thread environment
@@ -31,6 +34,7 @@ import os
 import platform
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -53,8 +57,9 @@ def layers(seed):
     """name -> (zero-argument call, fingerprint of its output)."""
     from structmc import (
         Alphabet, NoiseKind, ModelFamily, SolverConfig, StructureSpec, assemble,
-        block_coordinate_ls, critical_radius, covering_min_bound, exact_least_squares,
-        generate, observe, sample_mask, sample_noise, solve_b_given_xz, sparse_binary_packing,
+        block_coordinate_ls, build_t_b, build_t_z, critical_radius, covering_min_bound,
+        exact_least_squares, generate, observe, sample_mask, sample_noise, solve_b_given_xz,
+        sparse_binary_packing,
     )
 
     def observed(family, p):
@@ -76,6 +81,19 @@ def layers(seed):
     radius_spec = StructureSpec(n=32, m=24, k_n=3, k_m=3, s_n=1, s_m=1,
                                 alphabet_n=interval, alphabet_m=interval,
                                 b_max=1.0, theta_mx=1.0, bounded=True)
+    binary = Alphabet.finite((0.0, 1.0))
+    z_spec = StructureSpec(n=24, m=10, k_n=24, k_m=6, s_n=1, s_m=2, alphabet_n=binary,
+                           alphabet_m=binary, b_max=2.0, theta_mx=5.0, bounded=True)
+    b_spec = StructureSpec(n=12, m=12, k_n=6, k_m=6, s_n=1, s_m=1, alphabet_n=binary,
+                           alphabet_m=binary, b_max=2.0, theta_mx=5.0, bounded=True)
+
+    def hypothesis_sets():
+        with warnings.catch_warnings():
+            # the size gate and the embedding guarantee warn at these sizes
+            warnings.simplefilter("ignore")
+            return (build_t_z(z_spec, 1.0, 0.7, c0=0.5, seed=seed, cap=8),
+                    build_t_b(b_spec, 1.0, 0.7, c0=0.8, seed=seed, cap=16))
+
     return {
         "b_solve": (lambda: solve_b_given_xz(obs, fact.x, fact.z),
                     lambda b: repr(float(np.sum(np.abs(b))))),
@@ -89,6 +107,8 @@ def layers(seed):
                             repr),
         "packing": (lambda: sparse_binary_packing(24, 3, seed=seed),
                     lambda pk: f"{len(pk.codewords)} codewords"),
+        "hypothesis_sets": (hypothesis_sets, lambda sets: " / ".join(
+            f"{hs.kind} {hs.min_sq_distance!r} {hs.max_kl!r}" for hs in sets)),
     }
 
 

@@ -94,11 +94,16 @@ class Alphabet:
     def interval(cls, lo: float, hi: float) -> "Alphabet":
         return cls(kind="interval", lo=float(lo), hi=float(hi))
 
-    def contains(self, v: float, tol: float = 0.0) -> bool:
-        """Whether v is an allowed non-zero value (within tol)."""
+    def contains(self, v, tol: float = 0.0):
+        """Whether v is an allowed non-zero value (within tol): a bool for a
+        float, and for an array a bool array of its shape. NaN is never
+        contained."""
+        v = np.asarray(v, dtype=float)
         if self.kind == "finite":
-            return bool(np.min(np.abs(np.asarray(self.values) - v)) <= tol)
-        return self.lo - tol <= v <= self.hi + tol
+            hit = np.min(np.abs(np.asarray(self.values) - v[..., None]), axis=-1) <= tol
+        else:
+            hit = (self.lo - tol <= v) & (v <= self.hi + tol)
+        return bool(hit) if hit.ndim == 0 else hit
 
 
 # ---------- problem geometry ---------- #
@@ -241,8 +246,17 @@ def assemble(f: Factorization) -> np.ndarray:
     return x @ b @ z.T
 
 
+def _check_finite(name, a, violations):
+    """One violation per NaN or infinite entry of a; a NaN compares false, so
+    no other check sees it."""
+    for i, j in np.argwhere(~np.isfinite(a)):
+        violations.append(f"non-finite {name}, entry ({i},{j}): value {float(a[i, j])}")
+
+
 def _check_factor(name, a, k, s, alphabet, bounded, tol, violations):
-    """Row-sparsity + alphabet checks for one factor (X or Z)."""
+    """Finiteness, row-sparsity and alphabet checks for one factor (X or Z);
+    the alphabet is tested on all nonzeros in one call."""
+    _check_finite(name, a, violations)
     rows, cols = a.shape
     if cols != k:
         violations.append(f"shape {name}: expected {k} columns, got {cols}")
@@ -256,10 +270,10 @@ def _check_factor(name, a, k, s, alphabet, bounded, tol, violations):
     counts = nz.sum(axis=1)
     for i in np.nonzero(counts > s)[0]:
         violations.append(f"row-sparsity {name}, row {i}: {int(counts[i])} non-zeros > s = {s}")
-    for i, j in zip(*np.nonzero(nz)):
-        v = float(a[i, j])
-        if not alphabet.contains(v, tol):
-            violations.append(f"alphabet {name}, entry ({i},{j}): value {v} not in alphabet")
+    vals = a[nz]
+    foreign = ~alphabet.contains(vals, tol)
+    for (i, j), v in zip(np.argwhere(nz)[foreign], vals[foreign]):
+        violations.append(f"alphabet {name}, entry ({i},{j}): value {float(v)} not in alphabet")
     if bounded and np.max(np.abs(a)) > 1 + tol:
         i, j = np.unravel_index(np.argmax(np.abs(a)), a.shape)
         violations.append(f"‖{name}‖_∞ ≤ 1 violated at ({i},{j}): {float(a[i, j])}")
@@ -269,8 +283,9 @@ def validate_membership(f: Factorization, spec: StructureSpec, tol: float = 0.0)
     """Check every class invariant of f under spec.
 
     Violations are data, not failures: each one names the constraint, the
-    index and the offending value. tol = 0 is for freshly generated factors
-    (exact values); loaders use tol = 1e-9 to absorb decimal round-trips.
+    index and the offending value. Every NaN or infinite entry of X, B and Z
+    is one. tol = 0 is for freshly generated factors (exact values); loaders
+    use tol = 1e-9 to absorb decimal round-trips.
     """
     violations: list[str] = []
     if f.x.shape[0] != spec.n:
@@ -281,6 +296,7 @@ def validate_membership(f: Factorization, spec: StructureSpec, tol: float = 0.0)
         violations.append(f"shape B: expected {(spec.k_n, spec.k_m)}, got {f.b.shape}")
     _check_factor("X", f.x, spec.k_n, spec.s_n, spec.alphabet_n, spec.bounded, tol, violations)
     _check_factor("Z", f.z, spec.k_m, spec.s_m, spec.alphabet_m, spec.bounded, tol, violations)
+    _check_finite("B", f.b, violations)
     if spec.bounded and not any(v.startswith("shape") for v in violations):
         if np.max(np.abs(f.b)) > spec.b_max + tol:
             violations.append(f"‖B‖_∞ ≤ b_max violated: {float(np.max(np.abs(f.b)))} > {spec.b_max}")

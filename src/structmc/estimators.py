@@ -156,13 +156,9 @@ def _solve_b(x: np.ndarray, z: np.ndarray, mask: np.ndarray, yp: np.ndarray) -> 
     """
     _, n, k_n = x.shape
     _, m, k_m = z.shape
-    rhs = (x.transpose(0, 2, 1) @ yp) @ z
     if _one_sparse(x) and _one_sparse(z):
-        d = ((x * x).transpose(0, 2, 1) @ mask) @ (z * z)
-        # max(d) per pair reduces a transposed copy: short-axis reductions are slow
-        d_max = np.ascontiguousarray(d.reshape(len(d), -1).T).max(axis=0)
-        keep = d > _RCOND * d_max[:, None, None]
-        return np.divide(1.0, d, out=np.zeros_like(d), where=keep) * rhs
+        return _block_fit(x, z, mask, yp)[0]
+    rhs = (x.transpose(0, 2, 1) @ yp) @ z
     xx = (x[:, :, :, None] * x[:, :, None, :]).reshape(-1, n, k_n * k_n)
     zz = (z[:, :, :, None] * z[:, :, None, :]).reshape(-1, m, k_m * k_m)
     g = (xx.transpose(0, 2, 1) @ mask) @ zz
@@ -170,6 +166,53 @@ def _solve_b(x: np.ndarray, z: np.ndarray, mask: np.ndarray, yp: np.ndarray) -> 
     g = g.reshape(c, k_n, k_n, k_m, k_m).transpose(0, 1, 3, 2, 4)
     kk = k_n * k_m
     return _psd_solve(g.reshape(c, kk, kk), rhs.reshape(c, kk, 1)).reshape(c, k_n, k_m)
+
+
+def _block_fit(x, z, mask, yp):
+    """(B, rhs, d) of _solve_b's diagonal case, for one-sparse stacks x and z:
+    the block sums rhs = X^T Y' Z, the block masses d = ((x*x)^T E)(z*z) and
+    their masked block mean B = (1 / d) rhs on the kept blocks, each of shape
+    (c, k_n, k_m)."""
+    rhs = (x.transpose(0, 2, 1) @ yp) @ z
+    d = ((x * x).transpose(0, 2, 1) @ mask) @ (z * z)
+    # max(d) per pair reduces a transposed copy: short-axis reductions are slow
+    d_max = np.ascontiguousarray(d.reshape(len(d), -1).T).max(axis=0)
+    keep = _kept_blocks(d, d_max[:, None, None])
+    return np.divide(1.0, d, out=np.zeros_like(d), where=keep) * rhs, rhs, d
+
+
+def _kept_blocks(d, d_max):
+    """The blocks of one-sparse fits that eigh's cutoff on the diagonal Gram
+    keeps: mass d > _RCOND * d_max, d_max being each fit's largest mass
+    broadcast against d. The rest count as empty, B = 0 there."""
+    return d > _RCOND * d_max
+
+
+def _block_objs(t_sq, b, rhs, d, axes):
+    """Masked residuals ||T_w||^2 - 2 sum(B rhs) + sum(B^2 d) of one-sparse
+    fits from their block sums rhs and masses d, summed over the block axes,
+    t_sq being ||T_w||^2; no n x m residual is formed. This holds for any B on
+    the fits' blocks, a clipped one too. b None stands for the block mean, for
+    which it is ||T_w||^2 - sum(rhs^2 / d) over the kept blocks; that form
+    overwrites rhs and d."""
+    if b is None:
+        d[~_kept_blocks(d, d.max(axis=axes, keepdims=True))] = np.inf
+        rhs *= rhs
+        rhs /= d
+        return t_sq - rhs.sum(axis=axes)
+    fit = b * d
+    fit -= rhs
+    fit -= rhs
+    fit *= b
+    return t_sq + fit.sum(axis=axes)
+
+
+def _near_least(objs, least, t_sq):
+    """Which closed-form residuals objs lie within 1e-9 (1 + ||T_w||^2) of
+    least, and so are scored again directly. The tolerance scales with
+    ||T_w||^2, not with the objective, because the closed form cancels terms
+    of that size (an exact fit has objective 0)."""
+    return objs <= least + 1e-9 * (1.0 + t_sq)
 
 
 def _one_sparse(f: np.ndarray) -> bool:
@@ -252,14 +295,11 @@ def _exact(target, weights, spec: StructureSpec, cfg: SolverConfig) -> EstimateR
     """exact_least_squares on target T and weights w (see the module docstring).
 
     When every candidate row of both factors is one-sparse, B is the masked
-    block mean rhs / d of _solve_b, so a pair's residual is ||T_w||^2 -
-    sum(rhs^2 / d) over the kept blocks, with no n x m residual stack. Blocks
-    of X candidates are then ranked against each Z chunk by that closed form,
-    and every pair within 1e-9 (1 + ||T_w||^2) of the least closed-form value
-    seen so far is solved and scored again by _solve_b and _masked_objs: the
-    winner, its B and its objective are those of the direct search. The
-    tolerance scales with ||T_w||^2, not with the objective, because the
-    closed form cancels terms of that size (an exact fit has objective 0).
+    block mean of _solve_b, so blocks of X candidates are ranked against each
+    Z chunk by the closed form _block_objs, and every pair _near_least the
+    least closed-form value seen so far is solved and scored again by _solve_b
+    and _masked_objs: the winner, its B and its objective are those of the
+    direct search.
     """
     size = enumeration_size(spec)
     if size is None:
@@ -297,7 +337,6 @@ def _exact(target, weights, spec: StructureSpec, cfg: SolverConfig) -> EstimateR
         z_cols = np.ascontiguousarray(z_all.transpose(1, 2, 0))
         zz_cols = z_cols * z_cols
         t_sq = float(np.sum(mask * yp * yp))
-        tol = 1e-9 * (1.0 + t_sq)
         least = np.inf
     best = None  # (objective, x, b, z)
     pairs = 0
@@ -325,13 +364,9 @@ def _exact(target, weights, spec: StructureSpec, cfg: SolverConfig) -> EstimateR
             shape = (len(xs), k_n, k_m, len(zc))
             rhs = (xt @ z_cols[:, :, lo:lo + chunk].reshape(m, -1)).reshape(shape)
             d = (xm @ zz_cols[:, :, lo:lo + chunk].reshape(m, -1)).reshape(shape)
-            # blocks cut as in _solve_b count as empty: their share of the fit is 0
-            d[d <= _RCOND * d.max(axis=(1, 2), keepdims=True)] = np.inf
-            rhs *= rhs
-            rhs /= d
-            objs = t_sq - rhs.sum(axis=(1, 2))
+            objs = _block_objs(t_sq, None, rhs, d, axes=(1, 2))
             least = min(least, float(objs.min()))
-            near = objs <= least + tol
+            near = _near_least(objs, least, t_sq)
             for i in np.flatnonzero(near.any(axis=1)):
                 score(xs[i], zc[near[i]])
 
@@ -434,6 +469,33 @@ def _init_factor(rng, rows, k, s, alphabet, bounded, cand):
 _INIT_POOL = 32
 
 
+def _least_draw(yp, mask, xs, zs, b_max, t_sq):
+    """(x, b, z, objective) of the first draw (xs[i], zs[i]) of least masked
+    residual under its own B, clipped to [-b_max, b_max] unless b_max is None;
+    xs or zs may be a batch of one shared by every draw, t_sq is ||T_w||^2.
+
+    When both stacks are one-sparse, the draws are ranked by the closed form
+    _block_objs and only those _near_least the least are scored directly, as
+    in _exact: the draw kept and its objective are those of scoring them all.
+    """
+    one_sparse = _one_sparse(xs) and _one_sparse(zs)
+    if one_sparse:
+        bs, rhs, d = _block_fit(xs, zs, mask, yp)
+    else:
+        bs = _solve_b(xs, zs, mask, yp)
+    if b_max is not None:
+        bs = np.clip(bs, -b_max, b_max)
+    draws = np.arange(len(bs))
+    if one_sparse:
+        objs = _block_objs(t_sq, bs, rhs, d, axes=(1, 2))
+        draws = draws[_near_least(objs, objs.min(), t_sq)]
+    xs, zs = (f if len(f) == 1 else f[draws] for f in (xs, zs))
+    objs = _masked_objs(yp, mask, xs, bs[draws], zs)
+    j = int(np.argmin(objs))     # the first least; copies free the pool
+    return (xs[j if len(xs) > 1 else 0].copy(), bs[draws[j]].copy(),
+            zs[j if len(zs) > 1 else 0].copy(), objs[j])
+
+
 def block_coordinate_ls(obs: Observation, spec: StructureSpec, cfg: SolverConfig, seed: int,
                         trace: list | None = None, path: tuple[int, ...] = ()) -> EstimateResult:
     """Coordinate descent: closed-form B, exact per-row X updates, exact
@@ -442,9 +504,10 @@ def block_coordinate_ls(obs: Observation, spec: StructureSpec, cfg: SolverConfig
 
     Each restart seeds the descent with the best of a pool of random (X, Z)
     draws from its own stream, each judged by its masked residual under its
-    own B, all of which come from one batched B-solve; the discrete landscape
-    has many block-wise local minima, and spending the restart budget on
-    well-placed starts is what makes small restart counts reliable.
+    own B, all of which come from one batched B-solve (_least_draw; one-sparse
+    pools are ranked by the closed form); the discrete landscape has many
+    block-wise local minima, and spending the restart budget on well-placed
+    starts is what makes small restart counts reliable.
 
     The restarts descend in lockstep: a sweep makes one B-solve and, per
     finite side, one row update for every restart still active (interval rows
@@ -483,6 +546,8 @@ def _bcd(target, weights, spec: StructureSpec, cfg: SolverConfig, seed: int,
               else _candidate_rows(spec.k_m, spec.s_m, spec.alphabet_m, spec.bounded))
 
     pool = 1 if spec.s_n == 0 and spec.s_m == 0 else _INIT_POOL
+    b_max = spec.b_max if spec.bounded else None
+    t_sq = float(np.sum(mask * yp * yp))
     interval_side = (spec.s_n > 0 and cand_x is None) or (spec.s_m > 0 and cand_z is None)
     starts = []                      # (x, b, z, objective) of each restart's start
     for r_idx in range(cfg.restarts):
@@ -509,13 +574,7 @@ def _bcd(target, weights, spec: StructureSpec, cfg: SolverConfig, seed: int,
         # an identity side is shared by every draw: a batch of one
         xs = np.array(xs) if spec.s_n else np.eye(spec.n)[None]
         zs = np.array(zs) if spec.s_m else np.eye(spec.m)[None]
-        bs = _solve_b(xs, zs, mask, yp)
-        if spec.bounded:
-            bs = np.clip(bs, -spec.b_max, spec.b_max)
-        objs = _masked_objs(yp, mask, xs, bs, zs)
-        j = int(np.argmin(objs))     # the first best draw; copies free the pool
-        starts.append((xs[j if spec.s_n else 0].copy(), bs[j].copy(),
-                       zs[j if spec.s_m else 0].copy(), objs[j]))
+        starts.append(_least_draw(yp, mask, xs, zs, b_max, t_sq))
 
     def row_update(y, mk, s, alphabet, cand):
         """One side's update of every active restart's rows, given p_rows."""

@@ -136,17 +136,27 @@ def _min_separation(codewords: np.ndarray, weights: np.ndarray) -> float:
     """Smallest squared distance over the row pairs i < j of the 0/1 matrix
     codewords (inf for fewer than two rows), by direct check.
 
-    Rows are taken in blocks of _CERTIFY_BLOCK, each against itself and every
-    later row, so memory is O(block * count) rather than O(count^2).
+    As in _greedy_select, a pair's distance is one dot product of the rows
+    [|c|, 1, -2c] and [1, |a|, a], but built here from codewords and weights
+    alone, in float32: every partial sum of that product is an integer of
+    magnitude at most 4k, exact in float32 for k < 2^22 (a float64 codeword
+    that long takes 32 MiB). Rows are taken in blocks of _CERTIFY_BLOCK: one
+    matmul gives a block against itself and every later row, of which the
+    strict upper triangle of the diagonal block and the whole strip right of
+    it count, so memory is O(block * count) rather than O(count^2).
     """
     count = len(codewords)
+    ones = np.ones(count)
+    left = np.column_stack([weights, ones, -2.0 * codewords]).astype(np.float32)
+    right = np.column_stack([ones, weights, codewords]).astype(np.float32)
+    upper = np.arange(_CERTIFY_BLOCK)[:, None] < np.arange(_CERTIFY_BLOCK)   # i < j
     sep = np.inf
     for lo in range(0, count - 1, _CERTIFY_BLOCK):
-        hi = min(lo + _CERTIFY_BLOCK, count)
-        sq = weights[lo:hi, None] + weights[None, lo:] - 2 * (codewords[lo:hi] @ codewords[lo:].T)
-        sq[np.tril_indices(hi - lo)] = np.inf     # each pair once, no self-pairs
-        sep = min(sep, np.min(sq))
-    return sep
+        size = min(_CERTIFY_BLOCK, count - lo)
+        sq = left[lo:lo + size] @ right[lo:].T
+        sep = min(sep, sq[:, :size].min(initial=np.inf, where=upper[:size, :size]),
+                  sq[:, size:].min(initial=np.inf))
+    return float(sep)
 
 
 def sparse_binary_packing(k: int, s: int,
