@@ -253,6 +253,12 @@ def _check_finite(name, a, violations):
         violations.append(f"non-finite {name}, entry ({i},{j}): value {float(a[i, j])}")
 
 
+def _magnitudes(a: np.ndarray) -> np.ndarray:
+    """|a| with NaN entries read as 0, for the sup-norm bounds: a NaN is
+    reported as non-finite and must not hide the other entries' violations."""
+    return np.where(np.isnan(a), 0.0, np.abs(a))
+
+
 def _check_factor(name, a, k, s, alphabet, bounded, tol, violations):
     """Finiteness, row-sparsity and alphabet checks for one factor (X or Z);
     the alphabet is tested on all nonzeros in one call."""
@@ -274,8 +280,9 @@ def _check_factor(name, a, k, s, alphabet, bounded, tol, violations):
     foreign = ~alphabet.contains(vals, tol)
     for (i, j), v in zip(np.argwhere(nz)[foreign], vals[foreign]):
         violations.append(f"alphabet {name}, entry ({i},{j}): value {float(v)} not in alphabet")
-    if bounded and np.max(np.abs(a)) > 1 + tol:
-        i, j = np.unravel_index(np.argmax(np.abs(a)), a.shape)
+    mag = _magnitudes(a) if bounded else None
+    if bounded and np.max(mag) > 1 + tol:
+        i, j = np.unravel_index(np.argmax(mag), a.shape)
         violations.append(f"‖{name}‖_∞ ≤ 1 violated at ({i},{j}): {float(a[i, j])}")
 
 
@@ -298,13 +305,12 @@ def validate_membership(f: Factorization, spec: StructureSpec, tol: float = 0.0)
     _check_factor("Z", f.z, spec.k_m, spec.s_m, spec.alphabet_m, spec.bounded, tol, violations)
     _check_finite("B", f.b, violations)
     if spec.bounded and not any(v.startswith("shape") for v in violations):
-        if np.max(np.abs(f.b)) > spec.b_max + tol:
-            violations.append(f"‖B‖_∞ ≤ b_max violated: {float(np.max(np.abs(f.b)))} > {spec.b_max}")
-        theta = assemble(f)
-        if np.max(np.abs(theta)) > spec.theta_mx + tol:
-            violations.append(
-                f"‖θ‖_∞ ≤ theta_mx violated: {float(np.max(np.abs(theta)))} > {spec.theta_mx}"
-            )
+        b_sup = float(np.max(_magnitudes(f.b)))
+        if b_sup > spec.b_max + tol:
+            violations.append(f"‖B‖_∞ ≤ b_max violated: {b_sup} > {spec.b_max}")
+        theta_sup = float(np.max(_magnitudes(assemble(f))))
+        if theta_sup > spec.theta_mx + tol:
+            violations.append(f"‖θ‖_∞ ≤ theta_mx violated: {theta_sup} > {spec.theta_mx}")
     return ValidationReport(accepted=not violations, violations=tuple(violations))
 
 

@@ -20,6 +20,7 @@ block_coordinate_ls fit (Y/p, mask); adaptive_penalized fits (Y, mask).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -399,29 +400,43 @@ def _interval_bounds(alphabet: Alphabet, bounded: bool) -> tuple[float, float]:
     return lo, hi
 
 
+@functools.lru_cache(maxsize=None)
+def _support_tables(k: int, s: int) -> tuple[np.ndarray, ...]:
+    """The supports of each size 1..s of a k-column row, index sets
+    lexicographic within a size: one read-only (C(k, j), j) table per size."""
+    tables = tuple(np.array(list(itertools.combinations(range(k), j))) for j in range(1, s + 1))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def _update_rows_interval(y, mask, p_rows, rows_cur, s, lo, hi):
     """Continuous row update: per-support masked least squares with clipping,
     batched over rows and over the supports of each size; falls back to
     truncate-to-s when the support count is large. A row only changes if its
-    masked objective does not increase.
+    masked objective decreases: the first least of the current row, the zero
+    row and the candidates in support order is kept.
 
-    When every row has the same mask (p = 1) the per-row Grams are equal, so
-    each sub-Gram is factored once instead of once per row."""
+    When every row has the same mask (p = 1) the rows share one k x k Gram:
+    each support size is solved once for every row, size 1 in closed form,
+    and all candidates are scored in one (r, T, k) pass."""
     r, k = rows_cur.shape
-    g = np.einsum("kj,ij,lj->ikl", p_rows, mask, p_rows)   # (r, k, k)
     c = np.einsum("kj,ij,ij->ik", p_rows, mask, y)         # (r, k)
     base = np.sum(mask * y * y, axis=1)
-    shared = bool(np.all(mask == mask[0]))
+    if np.all(mask == mask[0]):
+        return _update_rows_shared(p_rows, mask[:1], rows_cur, c, base, s, lo, hi)
+    g = np.einsum("kj,ij,lj->ikl", p_rows, mask, p_rows)   # (r, k, k)
 
     def quad_obj(v):
         # masked residual of rows v: base - 2 v.c + v G v
         return base - 2.0 * np.sum(v * c, axis=1) + np.einsum("ik,ikl,il->i", v, g, v)
 
     def solve(gs, cs):
-        # still pinv: a faster solve here waits on perfbench keeping one unit at a time (ROADMAP)
-        # minimum-norm solutions of gs[i, t] v = cs[i, t], rows i, supports t
-        if shared:
-            return np.einsum("tkl,itl->itk", np.linalg.pinv(gs[0], rcond=_RCOND), cs)
+        # minimum-norm solutions of gs[i, t] v = cs[i, t], rows i, supports t:
+        # one pinv per support size over every row's own Grams. Only the
+        # p < 1 fits take this branch; batching it like the shared one speeds
+        # up perfbench's masked_completion, whose peak RSS grows with the
+        # units it completes (ROADMAP item 1), so it waits on that mend.
         return np.einsum("itkl,itl->itk", np.linalg.pinv(gs, rcond=_RCOND), cs)
 
     def offer(v):
@@ -434,21 +449,71 @@ def _update_rows_interval(y, mask, p_rows, rows_cur, s, lo, hi):
     best_obj = quad_obj(rows_cur)
     if _row_count(k, s) <= _SUPPORT_LIMIT:
         offer(np.zeros((r, k)))
-        for j in range(1, s + 1):
-            sups = np.array(list(itertools.combinations(range(k), j)))    # (t, j)
+        for sups in _support_tables(k, s):
             sols = np.clip(solve(g[:, sups[:, :, None], sups[:, None, :]], c[:, sups]), lo, hi)
             for t, sup in enumerate(sups):
                 v = np.zeros((r, k))
                 v[:, sup] = sols[:, t]
                 offer(v)
     else:
-        # truncate the unrestricted solution to the s largest coordinates
-        sol = solve(g[:, None], c[:, None])[:, 0]
-        keep = np.argsort(-np.abs(sol), axis=1)[:, :s]
-        v = np.zeros((r, k))
-        np.put_along_axis(v, keep, np.clip(np.take_along_axis(sol, keep, axis=1), lo, hi), axis=1)
-        offer(v)
+        offer(_truncated(solve(g[:, None], c[:, None])[:, 0], s, lo, hi))
     return best_rows, best_obj
+
+
+def _truncated(sol, s, lo, hi):
+    """The unrestricted solutions sol (r, k) truncated to their s largest
+    coordinates per row, clipped to [lo, hi]."""
+    keep = np.argsort(-np.abs(sol), axis=1)[:, :s]
+    v = np.zeros(sol.shape)
+    np.put_along_axis(v, keep, np.clip(np.take_along_axis(sol, keep, axis=1), lo, hi), axis=1)
+    return v
+
+
+# LAPACK's SVD rescales a matrix whose largest entry lies outside
+# [_SVD_SAFE, 1 / _SVD_SAFE], which can move the last bit of its pinv
+_SVD_SAFE = math.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
+
+
+def _pinv_1x1(d: np.ndarray) -> np.ndarray:
+    """pinv(rcond=_RCOND) of each 1 x 1 PSD Gram d[t], bit for bit: 1/d
+    where d > 0 (the cutoff keeps every positive value), else 0; a positive
+    d outside the SVD's unscaled range goes through pinv itself."""
+    plain = (d >= _SVD_SAFE) & (d <= 1.0 / _SVD_SAFE)
+    inv = np.divide(1.0, d, out=np.zeros(len(d)), where=plain)
+    odd = (d > 0) & ~plain
+    if odd.any():
+        inv[odd] = np.linalg.pinv(d[odd, None, None], rcond=_RCOND)[:, 0, 0]
+    return inv
+
+
+def _update_rows_shared(p_rows, mask1, rows_cur, c, base, s, lo, hi):
+    """_update_rows_interval when every row has the mask mask1 (1, cols)."""
+    r, k = rows_cur.shape
+    # the per-row einsum on one row, so bit for bit every row's Gram
+    g = np.einsum("kj,ij,lj->ikl", p_rows, mask1, p_rows)[0]   # (k, k)
+    cands = [rows_cur[:, None]]
+    if _row_count(k, s) <= _SUPPORT_LIMIT:
+        cands.append(np.zeros((r, 1, k)))
+        for sups in _support_tables(k, s):
+            t, j = sups.shape
+            if j == 1:
+                inv = _pinv_1x1(np.diagonal(g))[:, None, None]
+            else:
+                # pinv, not eigh: eigh moves last bits, and with them the
+                # pinned interval fits
+                inv = np.linalg.pinv(g[sups[:, :, None], sups[:, None, :]], rcond=_RCOND)
+            v = np.zeros((r, t, k))
+            v[:, np.arange(t)[:, None], sups] = np.clip(
+                np.einsum("tkl,itl->itk", inv, c[:, sups]), lo, hi)
+            cands.append(v)
+    else:
+        sol = np.einsum("tkl,itl->itk", np.linalg.pinv(g[None], rcond=_RCOND), c[:, None])[:, 0]
+        cands.append(_truncated(sol, s, lo, hi)[:, None])
+    v = np.concatenate(cands, axis=1)                           # (r, T, k)
+    objs = base[:, None] - 2.0 * np.sum(v * c[:, None], axis=2) + np.einsum("itk,kl,itl->it", v, g, v)
+    first = np.argmin(objs, axis=1)
+    rows = np.arange(r)
+    return v[rows, first], objs[rows, first]
 
 
 def _init_factor(rng, rows, k, s, alphabet, bounded, cand):

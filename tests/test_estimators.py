@@ -440,46 +440,117 @@ def test_bcd_interval_alphabet_descends():
     assert np.abs(got.factorization.z).max() <= 1.0 + 1e-12
 
 
-@pytest.mark.parametrize("full_mask", [True, False])
-@pytest.mark.parametrize("k,s", [(4, 2), (10, 5)])
+@pytest.mark.parametrize("full_mask", [True, False, "shared"])
+@pytest.mark.parametrize("k,s", [(4, 2), (10, 5), (4, 4)])
 def test_interval_row_update_matches_per_row_reference(full_mask, k, s):
     # reference: each row on its own, minimum-norm least squares per support
     # (or the truncated unrestricted solution past the support limit),
-    # clipped, kept only if its direct masked residual decreases
+    # clipped, kept only if its direct masked residual decreases. full_mask
+    # "shared" repeats one random mask row: every row shares its Gram, but
+    # not that of the all-ones mask
     rng = np.random.default_rng(11)
     r, cols, lo, hi = 7, 12, -1.0, 1.0
     y = rng.normal(size=(r, cols)) * 2
-    mask = np.ones((r, cols)) if full_mask else (rng.random((r, cols)) < 0.7).astype(float)
+    if full_mask == "shared":
+        mask = np.tile(rng.random(cols) < 0.7, (r, 1)).astype(float)
+    else:
+        mask = np.ones((r, cols)) if full_mask else (rng.random((r, cols)) < 0.7).astype(float)
     p_rows = rng.normal(size=(k, cols))
     rows_cur = np.clip(rng.normal(size=(r, k)), lo, hi)
-    got_rows, got_obj = est._update_rows_interval(y, mask, p_rows, rows_cur, s, lo, hi)
 
-    supports = [sup for j in range(s + 1) for sup in itertools.combinations(range(k), j)]
-    for i in range(r):
-        def resid(v):
-            return float(np.sum((mask[i] * (y[i] - v @ p_rows)) ** 2))
-        design = (p_rows * mask[i]).T
-        target = mask[i] * y[i]
-        cands = []
-        if len(supports) <= est._SUPPORT_LIMIT:
-            for sup in supports:
+    def check(p_rows, rows_cur):
+        got_rows, got_obj = est._update_rows_interval(y, mask, p_rows, rows_cur, s, lo, hi)
+        supports = [sup for j in range(s + 1) for sup in itertools.combinations(range(k), j)]
+        for i in range(r):
+            def resid(v):
+                return float(np.sum((mask[i] * (y[i] - v @ p_rows)) ** 2))
+            design = (p_rows * mask[i]).T
+            target = mask[i] * y[i]
+            cands = []
+            if len(supports) <= est._SUPPORT_LIMIT:
+                for sup in supports:
+                    v = np.zeros(k)
+                    if sup:
+                        idx = list(sup)
+                        v[idx] = np.clip(np.linalg.lstsq(design[:, idx], target, rcond=None)[0], lo, hi)
+                    cands.append(v)
+            else:
+                sol = np.linalg.lstsq(design, target, rcond=None)[0]
+                keep = np.argsort(-np.abs(sol))[:s]
                 v = np.zeros(k)
-                if sup:
-                    idx = list(sup)
-                    v[idx] = np.clip(np.linalg.lstsq(design[:, idx], target, rcond=None)[0], lo, hi)
+                v[keep] = np.clip(sol[keep], lo, hi)
                 cands.append(v)
-        else:
-            sol = np.linalg.lstsq(design, target, rcond=None)[0]
-            keep = np.argsort(-np.abs(sol))[:s]
-            v = np.zeros(k)
-            v[keep] = np.clip(sol[keep], lo, hi)
-            cands.append(v)
-        best_v, best = rows_cur[i], resid(rows_cur[i])
-        for v in cands:
-            if resid(v) < best:
-                best_v, best = v, resid(v)
-        np.testing.assert_allclose(got_rows[i], best_v, rtol=1e-9, atol=1e-9)
-        assert got_obj[i] == pytest.approx(best, rel=1e-9, abs=1e-9)
+            best_v, best = rows_cur[i], resid(rows_cur[i])
+            for v in cands:
+                if resid(v) < best:
+                    best_v, best = v, resid(v)
+            np.testing.assert_allclose(got_rows[i], best_v, rtol=1e-9, atol=1e-9)
+            assert got_obj[i] == pytest.approx(best, rel=1e-9, abs=1e-9)
+        return got_rows, got_obj
+
+    got_rows, got_obj = check(p_rows, rows_cur)
+    # already optimal: the current row ties with its own candidate and is kept
+    again_rows, again_obj = check(p_rows, got_rows)
+    np.testing.assert_array_equal(again_rows, got_rows)
+    np.testing.assert_array_equal(again_obj, got_obj)
+    # a zero row of p_rows: a zero 1 x 1 Gram, whose solution is 0
+    p_zero = p_rows.copy()
+    p_zero[1] = 0.0
+    check(p_zero, rows_cur)
+
+
+@pytest.mark.parametrize("full_mask", [True, False, "shared"])
+def test_interval_row_update_breaks_ties_like_sequential_offers(full_mask):
+    # p_rows 0 and 1 are equal, so the supports {0} and {1} give distinct
+    # rows of exactly equal objective: the first least candidate is taken,
+    # and a current row that ties with a candidate is kept
+    rng = np.random.default_rng(12)
+    r, cols, k = 5, 9, 3
+    p_rows = rng.normal(size=(k, cols))
+    p_rows[1] = p_rows[0]
+    y = 0.5 * p_rows[0] + 0.01 * rng.normal(size=(r, cols))
+    if full_mask == "shared":
+        mask = np.tile(rng.random(cols) < 0.7, (r, 1)).astype(float)
+    else:
+        mask = np.ones((r, cols)) if full_mask else (rng.random((r, cols)) < 0.7).astype(float)
+    y = y * mask
+    first, obj = est._update_rows_interval(y, mask, p_rows, np.zeros((r, k)), 1, -1.0, 1.0)
+    assert np.all(first[:, 0] != 0) and np.all(first[:, 1:] == 0)
+    swapped = first[:, [1, 0, 2]]
+    kept, kept_obj = est._update_rows_interval(y, mask, p_rows, swapped, 1, -1.0, 1.0)
+    np.testing.assert_array_equal(kept, swapped)
+    np.testing.assert_array_equal(kept_obj, obj)
+
+
+@pytest.mark.parametrize("full_mask", [True, False, "shared"])
+def test_interval_row_update_offers_the_zero_row(full_mask):
+    # every support's solution is negative and clips to 0.5, which is worse
+    # than the zero row; so is the current row
+    rng = np.random.default_rng(13)
+    r, cols, k = 4, 8, 3
+    if full_mask == "shared":
+        mask = np.tile(rng.random(cols) < 0.7, (r, 1)).astype(float)
+    else:
+        mask = np.ones((r, cols)) if full_mask else (rng.random((r, cols)) < 0.7).astype(float)
+    mask[:, :k] = 1.0                     # p_rows is observed
+    rows, objs = est._update_rows_interval(-mask, mask, np.eye(k, cols), np.full((r, k), 0.7),
+                                           2, 0.5, 1.0)
+    np.testing.assert_array_equal(rows, np.zeros((r, k)))
+    np.testing.assert_array_equal(objs, mask.sum(axis=1))
+
+
+def test_one_by_one_closed_form_is_pinv_bit_for_bit():
+    rng = np.random.default_rng(17)
+    d = np.concatenate([
+        [0.0, 0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-200, 1e-12,
+         1.0, 3.0, 1e200, 1e300, 1.7976931348623157e308],
+        10.0 ** rng.uniform(-8, 8, size=2000),
+        np.where(rng.random(200) < 0.5, 0.0, rng.random(200)),
+    ])
+    with np.errstate(over="ignore"):      # 1/d overflows for subnormal d, in pinv too
+        want = np.linalg.pinv(d[:, None, None], rcond=est._RCOND)[:, 0, 0]
+        got = est._pinv_1x1(d)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_bcd_respects_bounded_caps():

@@ -140,6 +140,13 @@ def case_shape_rows():
     return Factorization(x, np.ones((3, 2)), one_hot(2, 2)), spec(), 0.0
 
 
+def case_nan_keeps_bound_violations():
+    # a NaN of X must not hide the bound violations of the finite entries
+    x = np.array([[2.0, 0.0], [0.0, np.nan], [1.0, 0.0]])
+    s = spec(n=3, m=3, k_n=2, k_m=2, alph_n=WIDE, alph_m=WIDE, theta_mx=1.5, bounded=True)
+    return Factorization(x, np.ones((2, 2)), one_hot(3, 2)), s, 0.0
+
+
 def case_member():
     return Factorization(one_hot(4, 3), np.ones((3, 2)), one_hot(3, 2)), spec(bounded=True), 0.0
 
@@ -148,7 +155,8 @@ CASES = {f.__name__[5:]: f for f in (
     case_finite_several, case_signed_finite, case_interval, case_tolerance,
     case_interval_tolerance, case_bounded_factors, case_bounded_b_and_theta,
     case_bounded_tolerance, case_identity_side, case_identity_within_tol,
-    case_identity_not_square, case_shapes, case_shape_b_only, case_shape_rows, case_member)}
+    case_identity_not_square, case_shapes, case_shape_b_only, case_shape_rows, case_member,
+    case_nan_keeps_bound_violations)}
 
 PINNED = {
     "finite_several": (
@@ -220,6 +228,11 @@ PINNED = {
         "alphabet X, entry (4,1): value 3.0 not in alphabet",
     ),
     "member": (),
+    "nan_keeps_bound_violations": (
+        "non-finite X, entry (1,1): value nan",
+        "‖X‖_∞ ≤ 1 violated at (0,0): 2.0",
+        "‖θ‖_∞ ≤ theta_mx violated: 2.0 > 1.5",
+    ),
 }
 
 
