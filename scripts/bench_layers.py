@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Per-layer timings of the B-solve, one bcd fit, and the oracle and theory paths.
 
-Times eight layers, each as the minimum over --repeat calls on fixed seeds:
+Times nine layers, each as the minimum over --repeat calls on fixed seeds:
 
     b_solve        solve_b_given_xz on a block model, n = m = 320, k = 10, p = 0.5
                    (one-hot factors: the diagonal Gram)
@@ -13,6 +13,9 @@ Times eight layers, each as the minimum over --repeat calls on fixed seeds:
                    generic n = m = 30, k = 4, s = 2, interval [-1, 1], bounded,
                    sigma = 0.05, p = 1, 1 restart, at most 100 sweeps, tol 1e-6
                    (replica 0, the cell (2, 2))
+    bcd_interval_masked  block_coordinate_ls on a mixed-membership model, n = m = 60,
+                   k = 3, s = 2, p = 0.5, uniform noise b = 0.5, 2 restarts
+                   (interval rows with per-row masks)
     exact          exact_least_squares on a block model, n = 5, k = 2, p = 0.8
     critical_radius  the covering surrogate's fixed point on a 32 x 24 bounded
                    class with interval alphabets, k = 3, s = 1, u = 0.5
@@ -51,8 +54,8 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-LAYERS = ("b_solve", "b_solve_dense", "bcd", "bcd_interval", "exact", "critical_radius",
-          "packing", "hypothesis_sets")
+LAYERS = ("b_solve", "b_solve_dense", "bcd", "bcd_interval", "bcd_interval_masked", "exact",
+          "critical_radius", "packing", "hypothesis_sets")
 
 
 def parse_args(argv):
@@ -79,9 +82,8 @@ def layers(seed):
         solve_b_given_xz, sparse_binary_packing,
     )
 
-    def observed(family, p):
+    def observed(family, p, noise=NoiseKind.gaussian(0.5)):
         fact, spec = generate(family, seed)
-        noise = NoiseKind.gaussian(0.5)
         theta = assemble(fact)
         n = len(theta)
         obs = observe(theta, sample_mask(n, n, p, seed), sample_noise(noise, n, n, seed), p,
@@ -90,6 +92,9 @@ def layers(seed):
 
     fact, _, obs = observed(ModelFamily.sbm(320, 10), 0.5)
     dense_fact, _, dense_obs = observed(ModelFamily.mixed_membership(60, 3, 2), 0.5)
+    _, masked_spec, masked_obs = observed(ModelFamily.mixed_membership(60, 3, 2), 0.5,
+                                          NoiseKind.uniform_bounded(0.5))
+    masked_cfg = SolverConfig(restarts=2)
     _, bcd_spec, bcd_obs = observed(ModelFamily.sbm(80, 3), 1.0)
     bcd_cfg = SolverConfig(restarts=5)
     interval = Alphabet.interval(-1.0, 1.0)
@@ -129,6 +134,9 @@ def layers(seed):
         "bcd_interval": (lambda: block_coordinate_ls(canary_obs, canary_spec, canary_cfg,
                                                      canary_seed, path=(2, 2)),
                          lambda res: f"{res.objective!r} / {res.iterations} sweeps"),
+        "bcd_interval_masked": (lambda: block_coordinate_ls(masked_obs, masked_spec, masked_cfg,
+                                                            seed),
+                                lambda res: f"{res.objective!r} / {res.iterations} sweeps"),
         "exact": (lambda: exact_least_squares(tiny_obs, tiny_spec, exact_cfg),
                   lambda res: repr(res.objective)),
         "critical_radius": (lambda: critical_radius(32 * 24, covering_min_bound(radius_spec, 0.5)),
@@ -178,7 +186,7 @@ def main(argv=None):
         got = json.loads(proc.stdout)
         run["min_s"][name] = got["min_s"]
         run["output"][name] = got["output"]
-        print(f"{name:<16} min {got['min_s'] * 1e3:9.3f} ms   {got['output']}")
+        print(f"{name:<20} min {got['min_s'] * 1e3:9.3f} ms   {got['output']}")
 
     doc = {}
     if os.path.exists(args.out):

@@ -194,7 +194,10 @@ def rates_cmd(spec_file, family_name, args_csv, sigma, p, penalty_s, epsilon0, u
         fam = _build_family(family_name, args_csv, None)
         payload["family_rate"] = family_rate(fam)
     if penalty_s:
-        s_n, s_m = _parse_ints(penalty_s)
+        pair = _parse_ints(penalty_s)
+        if len(pair) != 2:
+            raise ParameterError(f"--penalty expects two integers s_n,s_m, got {penalty_s!r}")
+        s_n, s_m = pair
         payload["penalty"] = {"s_n": s_n, "s_m": s_m, "value": penalty(s_n, s_m, spec)}
     if epsilon0:
         eps0 = critical_radius(spec.n * spec.m, covering_min_bound(spec, u))

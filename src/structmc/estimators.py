@@ -417,47 +417,44 @@ def _update_rows_interval(y, mask, p_rows, rows_cur, s, lo, hi):
     masked objective decreases: the first least of the current row, the zero
     row and the candidates in support order is kept.
 
-    When every row has the same mask (p = 1) the rows share one k x k Gram:
-    each support size is solved once for every row, size 1 in closed form,
-    and all candidates are scored in one (r, T, k) pass."""
+    The Gram is (k, k) when every row has the same mask (p = 1) and (r, k, k)
+    otherwise; each support size is solved once over it, and every row's
+    candidates are scored in one (r, T, k) pass."""
     r, k = rows_cur.shape
     c = np.einsum("kj,ij,ij->ik", p_rows, mask, y)         # (r, k)
     base = np.sum(mask * y * y, axis=1)
-    if np.all(mask == mask[0]):
-        return _update_rows_shared(p_rows, mask[:1], rows_cur, c, base, s, lo, hi)
-    g = np.einsum("kj,ij,lj->ikl", p_rows, mask, p_rows)   # (r, k, k)
-
-    def quad_obj(v):
-        # masked residual of rows v: base - 2 v.c + v G v
-        return base - 2.0 * np.sum(v * c, axis=1) + np.einsum("ik,ikl,il->i", v, g, v)
-
-    def solve(gs, cs):
-        # minimum-norm solutions of gs[i, t] v = cs[i, t], rows i, supports t:
-        # one pinv per support size over every row's own Grams. Only the
-        # p < 1 fits take this branch; batching it like the shared one speeds
-        # up perfbench's masked_completion, whose peak RSS grows with the
-        # units it completes (ROADMAP item 1), so it waits on that mend.
-        return np.einsum("itkl,itl->itk", np.linalg.pinv(gs, rcond=_RCOND), cs)
-
-    def offer(v):
-        obj = quad_obj(v)
-        take = obj < best_obj
-        best_rows[take] = v[take]
-        best_obj[take] = obj[take]
-
-    best_rows = rows_cur.copy()
-    best_obj = quad_obj(rows_cur)
+    shared = np.all(mask == mask[0])
+    # the per-row einsum on one row when shared, so bit for bit every row's Gram
+    g = np.einsum("kj,ij,lj->ikl", p_rows, mask[:1] if shared else mask, p_rows)
+    # lead: the einsum subscript of g's row axis, if it has one
+    g, lead = (g[0], "") if shared else (g, "i")
+    cands = [rows_cur[:, None]]
     if _row_count(k, s) <= _SUPPORT_LIMIT:
-        offer(np.zeros((r, k)))
+        cands.append(np.zeros((r, 1, k)))
         for sups in _support_tables(k, s):
-            sols = np.clip(solve(g[:, sups[:, :, None], sups[:, None, :]], c[:, sups]), lo, hi)
-            for t, sup in enumerate(sups):
-                v = np.zeros((r, k))
-                v[:, sup] = sols[:, t]
-                offer(v)
+            t, j = sups.shape
+            # per-row 1 x 1 Grams keep pinv: the closed form there speeds up
+            # masked_completion, whose peak RSS grows with its units (ROADMAP item 1)
+            if j == 1 and shared:
+                inv = _pinv_1x1(np.diagonal(g))[:, None, None]
+            else:
+                # pinv, not eigh: eigh moves last bits, and with them the
+                # pinned interval fits
+                inv = np.linalg.pinv(g[..., sups[:, :, None], sups[:, None, :]], rcond=_RCOND)
+            v = np.zeros((r, t, k))
+            v[:, np.arange(t)[:, None], sups] = np.clip(
+                np.einsum(f"{lead}tkl,itl->itk", inv, c[:, sups]), lo, hi)
+            cands.append(v)
     else:
-        offer(_truncated(solve(g[:, None], c[:, None])[:, 0], s, lo, hi))
-    return best_rows, best_obj
+        inv = np.linalg.pinv(g[..., None, :, :], rcond=_RCOND)
+        sol = np.einsum(f"{lead}tkl,itl->itk", inv, c[:, None])[:, 0]
+        cands.append(_truncated(sol, s, lo, hi)[:, None])
+    v = np.concatenate(cands, axis=1)                       # (r, T, k)
+    objs = (base[:, None] - 2.0 * np.sum(v * c[:, None], axis=2)
+            + np.einsum(f"itk,{lead}kl,itl->it", v, g, v))
+    first = np.argmin(objs, axis=1)
+    rows = np.arange(r)
+    return v[rows, first], objs[rows, first]
 
 
 def _truncated(sol, s, lo, hi):
@@ -484,36 +481,6 @@ def _pinv_1x1(d: np.ndarray) -> np.ndarray:
     if odd.any():
         inv[odd] = np.linalg.pinv(d[odd, None, None], rcond=_RCOND)[:, 0, 0]
     return inv
-
-
-def _update_rows_shared(p_rows, mask1, rows_cur, c, base, s, lo, hi):
-    """_update_rows_interval when every row has the mask mask1 (1, cols)."""
-    r, k = rows_cur.shape
-    # the per-row einsum on one row, so bit for bit every row's Gram
-    g = np.einsum("kj,ij,lj->ikl", p_rows, mask1, p_rows)[0]   # (k, k)
-    cands = [rows_cur[:, None]]
-    if _row_count(k, s) <= _SUPPORT_LIMIT:
-        cands.append(np.zeros((r, 1, k)))
-        for sups in _support_tables(k, s):
-            t, j = sups.shape
-            if j == 1:
-                inv = _pinv_1x1(np.diagonal(g))[:, None, None]
-            else:
-                # pinv, not eigh: eigh moves last bits, and with them the
-                # pinned interval fits
-                inv = np.linalg.pinv(g[sups[:, :, None], sups[:, None, :]], rcond=_RCOND)
-            v = np.zeros((r, t, k))
-            v[:, np.arange(t)[:, None], sups] = np.clip(
-                np.einsum("tkl,itl->itk", inv, c[:, sups]), lo, hi)
-            cands.append(v)
-    else:
-        sol = np.einsum("tkl,itl->itk", np.linalg.pinv(g[None], rcond=_RCOND), c[:, None])[:, 0]
-        cands.append(_truncated(sol, s, lo, hi)[:, None])
-    v = np.concatenate(cands, axis=1)                           # (r, T, k)
-    objs = base[:, None] - 2.0 * np.sum(v * c[:, None], axis=2) + np.einsum("itk,kl,itl->it", v, g, v)
-    first = np.argmin(objs, axis=1)
-    rows = np.arange(r)
-    return v[rows, first], objs[rows, first]
 
 
 def _init_factor(rng, rows, k, s, alphabet, bounded, cand):

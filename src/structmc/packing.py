@@ -265,6 +265,16 @@ def _certified(facts, spec: StructureSpec, p: float, sigma: float, sep_bound: fl
                          max_kl=max_kl, kind=kind)
 
 
+def _check_set_args(sigma: float, p: float, cap: int) -> None:
+    """The noise level, sampling rate and size cap shared by both builders."""
+    if sigma <= 0:
+        raise ParameterError("sigma must be positive")
+    if not (0.0 < p <= 1.0):
+        raise ParameterError(f"p must lie in (0, 1], got {p}")
+    if cap < 2:
+        raise ParameterError(f"cap must be >= 2 (a hypothesis set needs two points), got {cap}")
+
+
 def build_t_z(spec: StructureSpec, sigma: float, p: float, c0: float,
               seed: int = 0, cap: int = 64) -> HypothesisSet:
     """Hypotheses that vary only in the row-assignment factor.
@@ -278,10 +288,7 @@ def build_t_z(spec: StructureSpec, sigma: float, p: float, c0: float,
         raise ParameterError("the row-assignment construction needs k_m >= 2")
     if spec.s_m < 1:
         raise ParameterError("s_m must be >= 1 (Z carries the hypotheses)")
-    if sigma <= 0:
-        raise ParameterError("sigma must be positive")
-    if not (0.0 < p <= 1.0):
-        raise ParameterError(f"p must lie in (0, 1], got {p}")
+    _check_set_args(sigma, p, cap)
     c1, _, c3 = _DEFAULT_CONSTANTS
     s0 = sparse_binary_packing(spec.k_m, spec.s_m, seed=seed)
     size = min(len(s0.codewords), cap)
@@ -318,10 +325,7 @@ def build_t_b(spec: StructureSpec, sigma: float, p: float, c0: float,
     distance r_n r_m / 8, scaled by delta with delta^2 = c0 sigma^2 / p.
     Below r_n r_m = 16 the two-point set {0, delta E_11} is returned.
     """
-    if sigma <= 0:
-        raise ParameterError("sigma must be positive")
-    if not (0.0 < p <= 1.0):
-        raise ParameterError(f"p must lie in (0, 1], got {p}")
+    _check_set_args(sigma, p, cap)
     delta_sq = c0 * sigma ** 2 / p
     if delta_sq <= 0:
         raise DegenerateSetError("delta = 0 makes all hypotheses identical")

@@ -173,6 +173,14 @@ def test_rates_components_and_penalty(tmp_path, capsys):
     assert payload["penalty"]["s_n"] == 1
 
 
+@pytest.mark.parametrize("pair", ["1", "1,2,3"])
+def test_rates_penalty_needs_two_integers(tmp_path, capsys, pair):
+    spec = write_spec(tmp_path)
+    code = main(["rates", "--spec", spec, "--penalty", pair])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_rates_family_row(tmp_path, capsys):
     spec = write_spec(tmp_path, n=100, m=100, k_n=5, k_m=5)
     code, out = run(capsys, "rates", "--spec", spec,
@@ -224,6 +232,19 @@ def test_packing_tz_payload(tmp_path, capsys):
     assert payload["kind"] == "t_z"
     assert len(payload["thetas"]) >= 2
     assert payload["min_sq_distance"] > 0
+
+
+@pytest.mark.parametrize("kind", ["tz", "tb"])
+@pytest.mark.parametrize("cap", ["1", "0"])
+def test_packing_cap_below_two_is_a_config_error(tmp_path, capsys, kind, cap):
+    # tb also below r_n * r_m = 16, where the two-point set used to ignore cap
+    for spec in (write_spec(tmp_path, n=24, m=10, k_n=24, k_m=6, s_n=1, s_m=2,
+                            b_max=2.0, theta_mx=5.0, bounded=True),
+                 write_spec(tmp_path)):
+        code = main(["packing", "--kind", kind, "--spec", spec, "--sigma", "1.0",
+                     "--p", "0.7", "--c0", "0.5", "--cap", cap, "--seed", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cap must be >= 2")
 
 
 def test_packing_embed_failure_exit(tmp_path, capsys):

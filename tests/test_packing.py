@@ -221,6 +221,16 @@ def test_t_b_respects_cap():
     assert 2 <= len(hs.thetas) <= 5
 
 
+@pytest.mark.parametrize("build", [build_t_z, build_t_b])
+@pytest.mark.parametrize("spec", [packing_spec(),
+                                  packing_spec(n=12, m=12, k_n=6, k_m=6, s_n=1, s_m=1),
+                                  packing_spec(n=3, m=3, k_n=2, k_m=2, s_n=1, s_m=1)])
+@pytest.mark.parametrize("cap", [1, 0, -3])
+def test_cap_below_two_is_rejected_up_front(build, spec, cap):
+    with pytest.raises(ParameterError, match="cap must be >= 2"):
+        build(spec, sigma=1.0, p=0.5, c0=0.5, seed=0, cap=cap)
+
+
 def test_t_b_deterministic():
     spec = packing_spec(n=12, m=12, k_n=6, k_m=6, s_n=1, s_m=1)
     a = build_t_b(spec, sigma=1.0, p=0.9, c0=0.5, seed=6, cap=8)

@@ -35,7 +35,7 @@ def test_bench_layers_writes_one_run(tmp_path, monkeypatch, capsys):
     out = tmp_path / "layers.json"
     assert load_script("bench_layers").main(["--repeat", "1", "--out", str(out)]) == 0
     run = json.loads(out.read_text())["runs"]["change"]
-    assert len(run["min_s"]) == 8 and set(run["output"]) == set(run["min_s"])
+    assert len(run["min_s"]) == 9 and set(run["output"]) == set(run["min_s"])
 
 
 def test_rate_scaling_config_matches_the_readme_and_the_former_script():
