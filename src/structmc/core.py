@@ -249,8 +249,10 @@ def assemble(f: Factorization) -> np.ndarray:
 def _check_finite(name, a, violations):
     """One violation per NaN or infinite entry of a; a NaN compares false, so
     no other check sees it."""
-    for i, j in np.argwhere(~np.isfinite(a)):
-        violations.append(f"non-finite {name}, entry ({i},{j}): value {float(a[i, j])}")
+    bad = ~np.isfinite(a)
+    if bad.any():
+        for i, j in np.argwhere(bad):
+            violations.append(f"non-finite {name}, entry ({i},{j}): value {float(a[i, j])}")
 
 
 def _magnitudes(a: np.ndarray) -> np.ndarray:
@@ -278,8 +280,9 @@ def _check_factor(name, a, k, s, alphabet, bounded, tol, violations):
         violations.append(f"row-sparsity {name}, row {i}: {int(counts[i])} non-zeros > s = {s}")
     vals = a[nz]
     foreign = ~alphabet.contains(vals, tol)
-    for (i, j), v in zip(np.argwhere(nz)[foreign], vals[foreign]):
-        violations.append(f"alphabet {name}, entry ({i},{j}): value {float(v)} not in alphabet")
+    if foreign.any():
+        for (i, j), v in zip(np.argwhere(nz)[foreign], vals[foreign]):
+            violations.append(f"alphabet {name}, entry ({i},{j}): value {float(v)} not in alphabet")
     mag = _magnitudes(a) if bounded else None
     if bounded and np.max(mag) > 1 + tol:
         i, j = np.unravel_index(np.argmax(mag), a.shape)

@@ -121,10 +121,12 @@ def enumeration_size(spec: StructureSpec) -> int | None:
     return size
 
 
+@functools.lru_cache(maxsize=None)
 def _candidate_rows(k: int, s: int, alphabet: Alphabet, bounded: bool) -> np.ndarray:
     """Distinct candidate rows, first occurrence kept, in the documented
     order: support size ascending, index sets lexicographic within a size,
-    value tuples in alphabet product order."""
+    value tuples in alphabet product order. One read-only table per
+    argument tuple, shared by every fit."""
     values = [v for v in alphabet.values if not bounded or abs(v) <= 1.0]
     seen = {}
     for j in range(s + 1):
@@ -135,7 +137,9 @@ def _candidate_rows(k: int, s: int, alphabet: Alphabet, bounded: bool) -> np.nda
                 key = row.tobytes()
                 if key not in seen:
                     seen[key] = row
-    return np.array(list(seen.values()))
+    table = np.array(list(seen.values()))
+    table.flags.writeable = False
+    return table
 
 
 # ---------- closed-form middle factor ---------- #

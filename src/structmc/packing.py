@@ -10,6 +10,7 @@ reproducibly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -72,88 +73,145 @@ class HypothesisSet:
 
 # ---------- greedy packings ---------- #
 
-def _greedy_select(candidates_iter, threshold: float, stop_at: int | None = None):
+def _distance_rows(codes: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 rows [|c|, 1, -2c] and [1, |a|, a] of 0/1 rows with the
+    given weights: the dot product of c's left row with a's right row is
+    |a| + |c| - 2 (a @ c), their squared (and L1) distance.
+
+    Every partial sum of that product is an integer of magnitude at most 4k,
+    exact in float32 for k < 2^22 (a float64 codeword that long takes
+    32 MiB), so float32 matmuls give the exact distances in any summation
+    order; a float32 comparison with _at_least32(t) is then the float64
+    comparison with t."""
+    count, k = codes.shape
+    left = np.empty((count, k + 2), np.float32)
+    right = np.empty((count, k + 2), np.float32)
+    left[:, 0] = right[:, 1] = weights
+    left[:, 1] = right[:, 0] = 1.0
+    left[:, 2:] = right[:, 2:] = codes
+    left[:, 2:] *= -2.0
+    return left, right
+
+
+def _at_least32(threshold: float) -> np.float32:
+    """The least float32 not below threshold: for every float32 d, d >= it
+    exactly when d >= threshold (NaN stays NaN, past the float32 range inf)."""
+    t32 = np.float32(threshold)
+    return np.nextafter(t32, np.float32(np.inf)) if float(t32) < threshold else t32
+
+
+def _strict_upper(size: int) -> np.ndarray:
+    """The (size, size) mask of i < j."""
+    return np.arange(size)[:, None] < np.arange(size)
+
+
+def _product(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """a @ b.T written to the front of the flat float32 array scratch, which
+    is reused across blocks: a (256, 2,024) product took 0.31 ms into a
+    fresh 2 MiB output and 0.20 ms into a reused one."""
+    return np.matmul(a, b.T, out=scratch[:len(a) * len(b)].reshape(len(a), len(b)))
+
+
+def _greedy_select(blocks, threshold: float, stop_at: int | None = None) -> np.ndarray:
     """Accept candidates whose Hamming distance to every accepted vector is
     >= threshold, in the order given (the sequential greedy), examining at
-    most _CANDIDATE_CAP candidates and stopping once stop_at are accepted.
+    most _CANDIDATE_CAP candidates and stopping once stop_at are accepted;
+    returns the accepted vectors as float64 rows, (0, 0) if there were none.
 
-    Candidates must be 0/1 vectors. The distance between two of them is then
-    |a| + |c| - 2 (a @ c), exact in float64, so the accept decisions are
-    those of the L1 distance; as rows [|c|, 1, -2c] against [1, |a|, a] it
-    is one dot product. Candidates are pulled in blocks of _CERTIFY_BLOCK,
-    or of the acceptances stop_at still wants if fewer. One matmul screens
-    a block against the accepted rows and one against itself; a candidate
-    that passes the screen and is near no earlier passing candidate of its
-    block is accepted, and only the ones near such a candidate are decided
-    one at a time, in order.
+    blocks yields (b, k) arrays of 0/1 candidate rows, of any size and real
+    dtype; the distances are exact in float32 (see _distance_rows). Each
+    block is screened _CERTIFY_BLOCK rows at a time, or the acceptances
+    stop_at still wants if fewer: one matmul screens the rows against the
+    accepted vectors and one against each other. A row that passes the
+    screen and is near no earlier passing row of its slice is accepted, and
+    only the ones near such a row are decided one at a time, in order.
     """
+    t32 = _at_least32(threshold)
+    upper = _strict_upper(_CERTIFY_BLOCK)
     acc = None      # rows [1, |a|, a] of the accepted vectors a, doubling when full
+    scratch = np.empty(_CERTIFY_BLOCK * _CERTIFY_BLOCK, np.float32)   # a slice against acc
     count = 0
     examined = 0
-    # no candidate past the stop is drawn; the first is accepted before any stop
+    # no candidate past the stop is screened; the first is accepted before any stop
     wanted = math.inf if stop_at is None else max(stop_at, 1)
-    while examined < _CANDIDATE_CAP and count < wanted:
-        size = min(_CERTIFY_BLOCK, _CANDIDATE_CAP - examined, wanted - count)
-        block = list(itertools.islice(candidates_iter, size))
-        if not block:
+    for source in blocks:
+        lo = 0
+        while lo < len(source) and examined < _CANDIDATE_CAP and count < wanted:
+            size = min(_CERTIFY_BLOCK, len(source) - lo, _CANDIDATE_CAP - examined,
+                       wanted - count)
+            block = source[lo:lo + size]
+            lo += size
+            examined += size
+            left, right = _distance_rows(block, block.sum(axis=1))
+            ok = np.ones(size, dtype=bool)
+            if count:
+                ok = _product(left, acc[:count], scratch).min(axis=1) >= t32
+            near = (_product(left, right, scratch) < t32) & upper[:size, :size] & ok[:, None]
+            for j in np.flatnonzero(ok & near.any(axis=0)):
+                ok[j] = not np.any(ok[:j] & near[:j, j])
+            take = np.flatnonzero(ok)
+            if acc is None:
+                acc = np.empty((_CERTIFY_BLOCK, right.shape[1]), np.float32)
+            if count + len(take) > len(acc):
+                acc = np.concatenate([acc, np.empty_like(acc)])
+                scratch = np.empty(_CERTIFY_BLOCK * len(acc), np.float32)
+            acc[count:count + len(take)] = right[take]
+            count += len(take)
+        if examined >= _CANDIDATE_CAP or count >= wanted:
             break
-        examined += len(block)
-        block = np.array(block, dtype=float)
-        w, ones = block.sum(axis=1), np.ones(len(block))
-        left = np.column_stack([w, ones, -2.0 * block])
-        right = np.column_stack([ones, w, block])
-        ok = np.ones(len(block), dtype=bool)
-        if count:
-            ok = (left @ acc[:count].T).min(axis=1) >= threshold
-        near = np.triu(left @ right.T < threshold, 1) & ok[:, None]
-        for j in np.flatnonzero(ok & near.any(axis=0)):
-            ok[j] = not np.any(ok[:j] & near[:j, j])
-        take = np.flatnonzero(ok)
-        if acc is None:
-            acc = np.empty((_CERTIFY_BLOCK, right.shape[1]))
-        if count + len(take) > len(acc):
-            acc = np.concatenate([acc, np.empty_like(acc)])
-        acc[count:count + len(take)] = right[take]
-        count += len(take)
-    return [] if acc is None else list(acc[:count, 2:])
+    return np.empty((0, 0)) if acc is None else acc[:count, 2:].astype(float)
+
+
+def _row_blocks(total: int):
+    """The (lo, hi) bounds of consecutive blocks of _CERTIFY_BLOCK rows of total."""
+    return ((lo, min(lo + _CERTIFY_BLOCK, total)) for lo in range(0, total, _CERTIFY_BLOCK))
+
+
+@functools.lru_cache(maxsize=None)
+def _weight_s_table(k: int, s: int) -> np.ndarray:
+    """Every weight-s 0/1 row of length k, supports lexicographic: one
+    read-only (C(k, s), k) uint8 table."""
+    table = np.zeros((math.comb(k, s), k), np.uint8)
+    np.put_along_axis(table, np.array(list(itertools.combinations(range(k), s))), 1, axis=1)
+    table.flags.writeable = False
+    return table
 
 
 def _weight_s_candidates(k: int, s: int, rng):
+    """Row blocks of weight-s 0/1 candidates: every such row in the order of
+    one rng permutation when there are at most _CANDIDATE_CAP, else
+    _CANDIDATE_CAP rows of rng-chosen supports."""
     total = math.comb(k, s)
     if total <= _CANDIDATE_CAP:
-        rows = np.zeros((total, k))
-        np.put_along_axis(rows, np.array(list(itertools.combinations(range(k), s))), 1.0, axis=1)
-        for i in rng.permutation(total):
-            yield rows[i]
+        table, order = _weight_s_table(k, s), rng.permutation(total)
+        for lo, hi in _row_blocks(total):
+            yield table[order[lo:hi]]
     else:
-        for _ in range(_CANDIDATE_CAP):
-            row = np.zeros(k)
-            row[rng.choice(k, size=s, replace=False)] = 1.0
-            yield row
+        for lo, hi in _row_blocks(_CANDIDATE_CAP):
+            block = np.zeros((hi - lo, k), np.uint8)
+            for row in block:
+                row[rng.choice(k, size=s, replace=False)] = 1
+            yield block
 
 
 def _min_separation(codewords: np.ndarray, weights: np.ndarray) -> float:
     """Smallest squared distance over the row pairs i < j of the 0/1 matrix
     codewords (inf for fewer than two rows), by direct check.
 
-    As in _greedy_select, a pair's distance is one dot product of the rows
-    [|c|, 1, -2c] and [1, |a|, a], but built here from codewords and weights
-    alone, in float32: every partial sum of that product is an integer of
-    magnitude at most 4k, exact in float32 for k < 2^22 (a float64 codeword
-    that long takes 32 MiB). Rows are taken in blocks of _CERTIFY_BLOCK: one
-    matmul gives a block against itself and every later row, of which the
-    strict upper triangle of the diagonal block and the whole strip right of
-    it count, so memory is O(block * count) rather than O(count^2).
+    Built from codewords and weights alone, as the exact float32 rows of
+    _distance_rows. Rows are taken in blocks of _CERTIFY_BLOCK: one matmul
+    gives a block against itself and every later row, of which the strict
+    upper triangle of the diagonal block and the whole strip right of it
+    count, so memory is O(block * count) rather than O(count^2).
     """
     count = len(codewords)
-    ones = np.ones(count)
-    left = np.column_stack([weights, ones, -2.0 * codewords]).astype(np.float32)
-    right = np.column_stack([ones, weights, codewords]).astype(np.float32)
-    upper = np.arange(_CERTIFY_BLOCK)[:, None] < np.arange(_CERTIFY_BLOCK)   # i < j
+    left, right = _distance_rows(codewords, weights)
+    upper = _strict_upper(_CERTIFY_BLOCK)
+    scratch = np.empty(min(_CERTIFY_BLOCK, count) * count, np.float32)
     sep = np.inf
     for lo in range(0, count - 1, _CERTIFY_BLOCK):
         size = min(_CERTIFY_BLOCK, count - lo)
-        sq = left[lo:lo + size] @ right[lo:].T
+        sq = _product(left[lo:lo + size], right[lo:], scratch)
         sep = min(sep, sq[:, :size].min(initial=np.inf, where=upper[:size, :size]),
                   sq[:, size:].min(initial=np.inf))
     return float(sep)
@@ -175,15 +233,15 @@ def sparse_binary_packing(k: int, s: int,
         raise ParameterError(f"s must lie in [1, {k}], got {s}")
     c1, c2, c3 = target_c
     rng = stream(seed, PURPOSE_PACKING, 0)
-    accepted = _greedy_select(_weight_s_candidates(k, s, rng), threshold=c3 * s)
+    codewords = _greedy_select(_weight_s_candidates(k, s, rng), threshold=c3 * s)
+    count = len(codewords)
     required = c1 * s * math.log(math.e * k / s)
-    if not accepted or math.log(len(accepted)) < required:
+    if not count or math.log(count) < required:
         raise ConstructionError(
-            f"greedy packing reached {len(accepted)} codewords; "
-            f"log-count {math.log(len(accepted)) if accepted else float('-inf'):.4g} "
+            f"greedy packing reached {count} codewords; "
+            f"log-count {math.log(count) if count else float('-inf'):.4g} "
             f"< required {required:.4g} (lower c3 or reseed)"
         )
-    codewords = np.array(accepted)
     # certify the advertised invariants by direct check
     weights = np.sum(codewords, axis=1)
     if np.any(weights < c2 * s) or np.any(weights > s):
@@ -201,6 +259,10 @@ def sign_embedding(r: int, vectors, seed: int = 0, max_resamples: int = 100) -> 
     given vectors: (r/2) ||a-b||^2 <= ||Q(a-b)||^2 <= (3r/2) ||a-b||^2 for
     every pair, verified exhaustively. Resamples until the check passes.
     """
+    if r < 1:
+        raise ParameterError(f"r must be >= 1, got {r}")
+    if max_resamples < 1:
+        raise ParameterError(f"max_resamples must be >= 1, got {max_resamples}")
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or len(vectors) < 1:
         raise ParameterError("vectors must be a non-empty 2-d collection")
@@ -239,6 +301,17 @@ def sign_embedding(r: int, vectors, seed: int = 0, max_resamples: int = 100) -> 
 
 # ---------- hypothesis sets ---------- #
 
+def _pair_sq_distances(thetas) -> np.ndarray:
+    """||a - b||^2 of every pair of the equal-shape thetas, in
+    itertools.combinations order. Each pair sums one contiguous row of n m
+    squares, as np.sum(d * d) sums the (n, m) difference d, so the values are
+    those bit for bit; the pairs of one a form one strip, so memory stays
+    that of the stack."""
+    flat = np.array(thetas).reshape(len(thetas), -1)
+    strips = (flat[i] - flat[i + 1:] for i in range(len(flat) - 1))
+    return np.concatenate([np.sum(d * d, axis=1) for d in strips])
+
+
 def _certified(facts, spec: StructureSpec, p: float, sigma: float, sep_bound: float,
                kl_bound: float, delta: float, kind: str) -> HypothesisSet:
     """The hypothesis set of facts, once every member is checked to lie in
@@ -254,9 +327,8 @@ def _certified(facts, spec: StructureSpec, p: float, sigma: float, sep_bound: fl
                 "constructed hypothesis leaves the class: " + "; ".join(report.violations)
             )
     thetas = tuple(assemble(f) for f in facts)
-    diffs = (a - b for a, b in itertools.combinations(thetas, 2))
-    sq = [float(np.sum(d * d)) for d in diffs]
-    min_sq, max_kl = min(sq), p * max(sq) / (2.0 * sigma ** 2)
+    sq = _pair_sq_distances(thetas)
+    min_sq, max_kl = float(sq.min()), p * float(sq.max()) / (2.0 * sigma ** 2)
     if min_sq < sep_bound * (1 - 1e-9):
         raise ConstructionError(f"separation {min_sq} below certificate {sep_bound}")
     if max_kl > kl_bound * (1 + 1e-9):
@@ -265,10 +337,13 @@ def _certified(facts, spec: StructureSpec, p: float, sigma: float, sep_bound: fl
                          max_kl=max_kl, kind=kind)
 
 
-def _check_set_args(sigma: float, p: float, cap: int) -> None:
-    """The noise level, sampling rate and size cap shared by both builders."""
-    if sigma <= 0:
-        raise ParameterError("sigma must be positive")
+def _check_set_args(sigma: float, p: float, c0: float, cap: int) -> None:
+    """The noise level, sampling rate, scale and size cap shared by both
+    builders. A NaN fails no comparison, so finiteness is checked first."""
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ParameterError(f"sigma must be positive and finite, got {sigma}")
+    if not math.isfinite(c0):
+        raise ParameterError(f"c0 must be finite, got {c0}")
     if not (0.0 < p <= 1.0):
         raise ParameterError(f"p must lie in (0, 1], got {p}")
     if cap < 2:
@@ -288,7 +363,7 @@ def build_t_z(spec: StructureSpec, sigma: float, p: float, c0: float,
         raise ParameterError("the row-assignment construction needs k_m >= 2")
     if spec.s_m < 1:
         raise ParameterError("s_m must be >= 1 (Z carries the hypotheses)")
-    _check_set_args(sigma, p, cap)
+    _check_set_args(sigma, p, c0, cap)
     c1, _, c3 = _DEFAULT_CONSTANTS
     s0 = sparse_binary_packing(spec.k_m, spec.s_m, seed=seed)
     size = min(len(s0.codewords), cap)
@@ -325,7 +400,7 @@ def build_t_b(spec: StructureSpec, sigma: float, p: float, c0: float,
     distance r_n r_m / 8, scaled by delta with delta^2 = c0 sigma^2 / p.
     Below r_n r_m = 16 the two-point set {0, delta E_11} is returned.
     """
-    _check_set_args(sigma, p, cap)
+    _check_set_args(sigma, p, c0, cap)
     delta_sq = c0 * sigma ** 2 / p
     if delta_sq <= 0:
         raise DegenerateSetError("delta = 0 makes all hypotheses identical")
@@ -348,10 +423,12 @@ def build_t_b(spec: StructureSpec, sigma: float, p: float, c0: float,
     else:
         rng = stream(seed, PURPOSE_PACKING, 2)
         if dim <= 20:
-            all_codes = ((np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1).astype(np.int8)
-            cands = (all_codes[i].astype(float) for i in rng.permutation(1 << dim))
+            # every 0/1 code in the order of one permutation of their integers
+            order, bits = rng.permutation(1 << dim), np.arange(dim)
+            cands = ((order[lo:hi, None] >> bits) & 1 for lo, hi in _row_blocks(1 << dim))
         else:
-            cands = (rng.integers(0, 2, size=dim).astype(float) for _ in range(_CANDIDATE_CAP))
+            cands = (rng.integers(0, 2, size=(hi - lo, dim))
+                     for lo, hi in _row_blocks(_CANDIDATE_CAP))
         codes = _greedy_select(cands, threshold=dim / 8.0, stop_at=cap)
         if len(codes) < 2:
             raise ConstructionError("middle-factor packing produced < 2 codewords")

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, JSON payloads, exit codes."""
 
+import itertools
 import json
 import re
 from pathlib import Path
@@ -256,6 +257,34 @@ def test_packing_embed_failure_exit(tmp_path, capsys):
     code, _ = run(capsys, "packing", "--kind", "embed", "--r", "2",
                   "--vectors", str(vecs), "--max-resamples", "5", "--seed", "0")
     assert code == 3
+
+
+@pytest.mark.parametrize("flags, name", [
+    (("--r", "0"), "r"), (("--r", "-1"), "r"), (("--r", "8", "--max-resamples", "0"), "max_resamples")])
+def test_packing_embed_empty_draws_are_config_errors(tmp_path, capsys, flags, name):
+    # these used to exit 3 after 100 draws ("ratios in [nan, nan]") or 1 on a
+    # ValueError / TypeError from inside the draw loop
+    vecs = tmp_path / "vecs.json"
+    vecs.write_text(json.dumps({"rows": 2, "cols": 3, "data": [1, 0, 0, 0, 1, 1]}))
+    code = main(["packing", "--kind", "embed", "--vectors", str(vecs), "--seed", "0", *flags])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {name} must be >= 1")
+
+
+@pytest.mark.parametrize("kind", ["tz", "tb"])
+@pytest.mark.parametrize("flag, name", [("--sigma", "sigma"), ("--c0", "c0")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_packing_non_finite_sigma_or_c0_is_a_config_error(tmp_path, capsys, kind, flag, name,
+                                                           value):
+    # a NaN used to pass every sign check and be refused (exit 3) for a
+    # non-finite B
+    spec = write_spec(tmp_path, n=24, m=10, k_n=24, k_m=6, s_n=1, s_m=2,
+                      b_max=2.0, theta_mx=5.0, bounded=True)
+    args = {"--sigma": "1.0", "--c0": "0.5", flag: value}
+    code = main(["packing", "--kind", kind, "--spec", spec, "--p", "0.7", "--cap", "8",
+                 "--seed", "0", *itertools.chain(*args.items())])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {name} must be ")
 
 
 # ---- bench ------------------------------------------------------------------------- #

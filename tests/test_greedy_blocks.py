@@ -1,10 +1,12 @@
 """The blocked greedy packing against the sequential greedy, and the
 candidate table against a table built one support at a time.
 
-_greedy_select pulls candidates in blocks of _CERTIFY_BLOCK and decides one
-at a time only those near an earlier passing candidate of their block;
-sequential_greedy (tests/test_packing.py) recomputes the L1 distance to
-every accepted vector for each candidate in turn.
+_greedy_select takes row blocks of any size, screens them in slices of at
+most _CERTIFY_BLOCK rows and decides one at a time only those near an
+earlier passing candidate of their slice; sequential_greedy
+(tests/test_packing.py) recomputes the L1 distance to every accepted vector
+for each candidate in turn. as_blocks cuts the candidates into blocks of
+varying size, so slices also end at block boundaries.
 """
 
 import itertools
@@ -13,12 +15,14 @@ import math
 import numpy as np
 import pytest
 
+import structmc.estimators as est
 import structmc.packing as packing_mod
 from structmc import sparse_binary_packing
 from structmc.packing import _greedy_select, _weight_s_candidates
 from structmc.simulate import PURPOSE_PACKING, stream
 
-from test_packing import same_bytes, sequential_greedy
+from conftest import BINARY
+from test_packing import as_blocks, rows_of, same_bytes, sequential_greedy
 
 
 def clustered(seed, count, k, centers=6, flip=0.1):
@@ -44,7 +48,8 @@ def chain(k, at, rows):
 def test_blocked_greedy_matches_sequential_with_conflicts(seed, count, k, threshold):
     cands = clustered(seed, count, k)
     want = sequential_greedy(cands, threshold)
-    same_bytes(_greedy_select(iter(cands), threshold), want)
+    for blocks in ([cands], as_blocks(cands)):
+        same_bytes(_greedy_select(blocks, threshold), want)
     # the candidates conflict inside the first block (nothing accepted before it)
     # and in later blocks
     assert 0 < len(want) < count
@@ -58,7 +63,8 @@ def test_blocked_greedy_resolves_chains_in_order(at):
     rng = np.random.default_rng(at)
     rows = chain(12, at, (rng.random((600, 12)) < 0.5).astype(float))
     want = sequential_greedy(rows, 2.0)
-    same_bytes(_greedy_select(iter(rows), 2.0), want)
+    for blocks in ([rows], as_blocks(rows)):
+        same_bytes(_greedy_select(blocks, 2.0), want)
     if at == 0:
         same_bytes(want[:2], [rows[0], rows[2]])
 
@@ -68,26 +74,28 @@ def test_blocked_greedy_stop_at_mid_block():
     unstopped = len(sequential_greedy(cands, 2.0))
     assert 2 * packing_mod._CERTIFY_BLOCK < unstopped < len(cands)
     for stop_at in (0, 1, 2, 100, 255, 256, 257, 300, 511, unstopped - 1, unstopped):
-        got = _greedy_select(iter(cands), 2.0, stop_at=stop_at)
-        same_bytes(got, sequential_greedy(cands, 2.0, stop_at=stop_at))
-        assert len(got) == min(max(stop_at, 1), unstopped)
+        for blocks in ([cands], as_blocks(cands)):
+            got = _greedy_select(blocks, 2.0, stop_at=stop_at)
+            same_bytes(got, sequential_greedy(cands, 2.0, stop_at=stop_at))
+            assert len(got) == min(max(stop_at, 1), unstopped)
 
 
 @pytest.mark.parametrize("cap", [1, 5, 255, 256, 257, 600])
 def test_blocked_greedy_honours_the_candidate_cap(monkeypatch, cap):
     cands = clustered(6, 800, 12, centers=60, flip=0.2)
     monkeypatch.setattr(packing_mod, "_CANDIDATE_CAP", cap)
-    same_bytes(_greedy_select(iter(cands), 2.0), sequential_greedy(cands, 2.0, cap=cap))
-    same_bytes(_greedy_select(iter(cands), 2.0, stop_at=40),
-               sequential_greedy(cands, 2.0, stop_at=40, cap=cap))
+    for blocks in (lambda: [cands], lambda: as_blocks(cands)):
+        same_bytes(_greedy_select(blocks(), 2.0), sequential_greedy(cands, 2.0, cap=cap))
+        same_bytes(_greedy_select(blocks(), 2.0, stop_at=40),
+                   sequential_greedy(cands, 2.0, stop_at=40, cap=cap))
 
 
 @pytest.mark.parametrize("cap", [100, 300])
 def test_packing_with_a_small_candidate_cap(monkeypatch, cap):
     # C(12, 3) = 220 candidates: sampled past a cap of 100, enumerated under 300
     monkeypatch.setattr(packing_mod, "_CANDIDATE_CAP", cap)
-    want = sequential_greedy(_weight_s_candidates(12, 3, stream(2, PURPOSE_PACKING, 0)), 1.5,
-                             cap=cap)
+    want = sequential_greedy(rows_of(_weight_s_candidates(12, 3, stream(2, PURPOSE_PACKING, 0))),
+                             1.5, cap=cap)
     same_bytes(sparse_binary_packing(12, 3, seed=2).codewords, want)
 
 
@@ -99,6 +107,23 @@ def test_candidate_table_matches_the_support_loop(k, s, seed):
     ref_rng = stream(seed, PURPOSE_PACKING, 0)
     want = [rows[i] for i in ref_rng.permutation(len(rows))]
     rng = stream(seed, PURPOSE_PACKING, 0)
-    same_bytes(list(_weight_s_candidates(k, s, rng)), want)
+    blocks = list(_weight_s_candidates(k, s, rng))
+    assert all(len(b) <= packing_mod._CERTIFY_BLOCK for b in blocks)
+    same_bytes(np.concatenate(blocks).astype(float), want)
     # one permutation draw, as before: the streams continue alike
     assert rng.integers(0, 1 << 62, size=4).tolist() == ref_rng.integers(0, 1 << 62, size=4).tolist()
+
+
+def test_candidate_tables_are_built_once_and_read_only():
+    table = packing_mod._weight_s_table(12, 3)
+    assert table is packing_mod._weight_s_table(12, 3)
+    rows = est._candidate_rows(4, 2, BINARY, True)
+    assert rows is est._candidate_rows(4, 2, BINARY, True)
+    for t in (table, rows):
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0, 0] = 2.0
+    # blocks handed out are copies of the table's rows, free to change
+    block = next(_weight_s_candidates(12, 3, stream(0, PURPOSE_PACKING, 0)))
+    block[0] = 0
+    assert table.sum() == math.comb(12, 3) * 3

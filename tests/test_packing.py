@@ -19,7 +19,9 @@ from structmc import (
     sparse_binary_packing,
 )
 import structmc.packing as packing_mod
-from structmc.packing import _greedy_select, _min_separation, _weight_s_candidates
+from structmc.packing import (
+    _greedy_select, _min_separation, _pair_sq_distances, _weight_s_candidates,
+)
 from structmc.simulate import PURPOSE_PACKING, stream
 
 from conftest import BINARY
@@ -106,6 +108,15 @@ def test_sign_embedding_deterministic():
 def test_sign_embedding_warns_when_rows_are_scarce():
     with pytest.warns(UserWarning):
         sign_embedding(16, np.eye(3), seed=0)
+
+
+@pytest.mark.parametrize("r, max_resamples, name", [
+    (0, 100, "r"), (-1, 100, "r"), (8, 0, "max_resamples"), (8, -2, "max_resamples")])
+def test_sign_embedding_rejects_empty_draws_up_front(r, max_resamples, name):
+    # r = 0 used to make 100 useless draws and report ratios in [nan, nan];
+    # r < 0 and max_resamples = 0 died inside numpy and in the error message
+    with pytest.raises(ParameterError, match=rf"^{name} must be >= 1"):
+        sign_embedding(r, np.eye(3), seed=0, max_resamples=max_resamples)
 
 
 def test_sign_embedding_gives_up_gracefully():
@@ -215,6 +226,21 @@ def test_certificates_are_the_pairwise_extremes_bit_for_bit(build, spec, c0, cap
                                 for i, j in pairs)
 
 
+@pytest.mark.parametrize("build, spec", [
+    (build_t_z, packing_spec()),
+    (build_t_b, packing_spec(n=12, m=12, k_n=6, k_m=6, s_n=1, s_m=1)),
+    (build_t_b, packing_spec(n=3, m=3, k_n=2, k_m=2, s_n=1, s_m=1)),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_sigma_and_c0_are_rejected_by_name(build, spec, bad):
+    # a NaN passes both sigma <= 0 and delta^2 <= 0, and used to surface as a
+    # membership refusal listing every non-finite entry of B
+    with pytest.raises(ParameterError, match=r"^sigma must be positive and finite"):
+        build(spec, sigma=bad, p=0.5, c0=0.5, seed=0, cap=4)
+    with pytest.raises(ParameterError, match=r"^c0 must be finite"):
+        build(spec, sigma=1.0, p=0.5, c0=bad, seed=0, cap=4)
+
+
 def test_t_b_respects_cap():
     spec = packing_spec(n=12, m=12, k_n=6, k_m=6, s_n=1, s_m=1)
     hs = build_t_b(spec, sigma=1.0, p=1.0, c0=0.5, seed=0, cap=5)
@@ -256,6 +282,22 @@ def sequential_greedy(candidates, threshold, stop_at=None, cap=1 << 20):
     return accepted
 
 
+def rows_of(blocks):
+    """The rows of a stream of row blocks, in order."""
+    return (row for block in blocks for row in block)
+
+
+def as_blocks(rows, sizes=(1, 100, 256, 300, 7)):
+    """rows cut into consecutive blocks whose sizes cycle through sizes: a
+    block smaller than, equal to and larger than the greedy's slices."""
+    rows, lo = np.asarray(rows), 0
+    for size in itertools.cycle(sizes):
+        if lo >= len(rows):
+            return
+        yield rows[lo:lo + size]
+        lo += size
+
+
 def same_bytes(got, want):
     assert len(got) == len(want)
     assert all(np.asarray(g).tobytes() == np.asarray(w).tobytes() for g, w in zip(got, want))
@@ -263,7 +305,7 @@ def same_bytes(got, want):
 
 @pytest.mark.parametrize("k, s, seed", [(24, 3, 1), (12, 3, 0), (20, 4, 9), (10, 2, 4)])
 def test_packing_matches_sequential_greedy(k, s, seed):
-    cands = _weight_s_candidates(k, s, stream(seed, PURPOSE_PACKING, 0))
+    cands = rows_of(_weight_s_candidates(k, s, stream(seed, PURPOSE_PACKING, 0)))
     want = sequential_greedy(cands, threshold=0.5 * s)
     got = sparse_binary_packing(k, s, seed=seed).codewords
     same_bytes(got, want)
@@ -275,6 +317,7 @@ def test_packing_matches_sequential_greedy(k, s, seed):
     (4, 4, 3, 16),    # r_n r_m = 16: the smallest enumerated grid
     (6, 6, 2, 16),    # r_n r_m = 36: sampled candidates
     (5, 6, 7, 64),    # r_n r_m = 30: sampled, up to 64 hypotheses
+    (5, 7, 1, 64),    # r_n r_m = 35: sampled in blocks of an odd row length
 ])
 def test_t_b_matches_sequential_greedy(k_n, k_m, seed, cap):
     spec = packing_spec(n=12, m=12, k_n=k_n, k_m=k_m, s_n=1, s_m=1)
@@ -301,17 +344,79 @@ def test_greedy_select_stop_at_short_stream_and_growth():
     rng = np.random.default_rng(3)
     many = rng.integers(0, 2, size=(600, 9)).astype(float)
     # threshold 1 accepts every distinct vector: the buffer grows past 64, 128, 256
-    same_bytes(_greedy_select(iter(many), threshold=1.0), sequential_greedy(many, 1.0))
+    same_bytes(_greedy_select(as_blocks(many), threshold=1.0), sequential_greedy(many, 1.0))
     unstopped = len(sequential_greedy(many, 2.0))
     for stop_at in (1, 5, 64, 65, unstopped, unstopped + 1):
-        got = _greedy_select(iter(many), threshold=2.0, stop_at=stop_at)
+        got = _greedy_select(as_blocks(many), threshold=2.0, stop_at=stop_at)
         same_bytes(got, sequential_greedy(many, 2.0, stop_at=stop_at))
         assert len(got) == min(stop_at, unstopped)
     few = many[:5]
-    same_bytes(_greedy_select(iter(few), threshold=3.0), sequential_greedy(few, 3.0))
-    assert _greedy_select(iter(()), threshold=1.0) == []
+    same_bytes(_greedy_select([few], threshold=3.0), sequential_greedy(few, 3.0))
+    assert _greedy_select(iter(()), threshold=1.0).shape == (0, 0)
     # a single candidate is accepted unconditionally
-    same_bytes(_greedy_select(iter(many[:1]), threshold=100.0), [many[0]])
+    same_bytes(_greedy_select([many[:1]], threshold=100.0), [many[0]])
+    # the codewords come back as one float64 array, whatever the block dtype
+    got = _greedy_select(as_blocks(many.astype(np.uint8)), threshold=2.0)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    same_bytes(got, sequential_greedy(many, 2.0))
+
+
+# ---- the float32 screen against the float64 reference ---------------------------- #
+
+# Python floats, as callers pass them: a float32 array compared with a Python
+# float compares in float32, with a numpy float64 in float64
+BELOW_2, ABOVE_2 = float(np.nextafter(2.0, -np.inf)), float(np.nextafter(2.0, np.inf))
+
+
+@pytest.mark.parametrize("threshold, like", [
+    (BELOW_2, 2.0), (ABOVE_2, 3.0), (2.0 + 1e-9, 3.0), (3.0 - 1e-9, 3.0)])
+def test_float32_screen_compares_the_threshold_in_float64(threshold, like):
+    # every distance is an integer, so a threshold just past 2 keeps only the
+    # pairs at distance >= 3; rounded to float32 (2.0 + 1e-9 and ABOVE_2 both
+    # round to 2.0) it would also keep the pairs at distance 2
+    assert np.float32(threshold) == round(threshold) != threshold
+    rng = np.random.default_rng(11)
+    cands = (rng.random((700, 9)) < 0.5).astype(float)
+    want = sequential_greedy(cands, threshold)
+    same_bytes(_greedy_select(as_blocks(cands), threshold), want)
+    same_bytes(want, sequential_greedy(cands, like))
+    assert len(want) != len(sequential_greedy(cands, like - 1.0))
+    for stop_at in (3, 40):
+        same_bytes(_greedy_select(as_blocks(cands), threshold, stop_at=stop_at),
+                   sequential_greedy(cands, threshold, stop_at=stop_at))
+
+
+@pytest.mark.parametrize("k, s, c3", [
+    (9, 2, float(np.nextafter(1.0, -np.inf))),   # c3 s = BELOW_2: pairs at distance 2 stay
+    (9, 2, float(np.nextafter(1.0, np.inf))),    # c3 s = ABOVE_2: they go
+    (10, 4, 0.5 + 1e-9),                         # c3 s = 2.000000004, float32 2.0
+    (12, 3, 2.0 / 3.0 + 1e-9),                   # c3 s = 2.000000003, float32 2.0
+])
+def test_packing_at_thresholds_within_float32_rounding(k, s, c3):
+    seed = 4
+    assert np.float32(c3 * s) == 2.0 != c3 * s
+    target = (0.01, 0.5, c3)
+    cands = rows_of(_weight_s_candidates(k, s, stream(seed, PURPOSE_PACKING, 0)))
+    want = sequential_greedy(cands, threshold=c3 * s)
+    got = sparse_binary_packing(k, s, target_c=target, seed=seed).codewords
+    same_bytes(got, want)
+    sep = _min_separation(got, got.sum(axis=1))
+    assert sep >= c3 * s and sep == (2.0 if c3 * s < 2.0 else 4.0)
+
+
+# ---- the vectorized pair distances ---------------------------------------------- #
+
+@pytest.mark.parametrize("shape, count", [
+    ((24, 10), 8), ((33, 37), 17), ((101, 103), 5), ((12, 12), 64), ((257, 129), 3), ((1, 1), 2)])
+def test_pair_distances_are_the_per_pair_sums_bit_for_bit(shape, count):
+    # n m = 1,221 and 10,403 are odd and past 1,000; 33,153 is past numpy's
+    # 8,192-element reduction buffer
+    rng = np.random.default_rng(count)
+    thetas = tuple(rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)
+                   for _ in range(count))
+    want = np.array([np.sum(d * d) for d in (a - b for a, b in itertools.combinations(thetas, 2))])
+    got = _pair_sq_distances(thetas)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ---- the blocked separation certificate ---------------------------------------- #
