@@ -50,11 +50,12 @@ from .rates import (
     penalty,
     rate_components,
 )
-from .simulate import NOISE_KINDS, ModelFamily, NoiseKind, generate, observe, sample_mask, sample_noise
+from .simulate import (_GENERATORS, NOISE_KINDS, ModelFamily, NoiseKind, generate, observe,
+                       sample_mask, sample_noise)
 
 __all__ = ["main"]
 
-_FAMILIES = ("mixture", "dictionary", "sbm", "mixed_membership", "biclustering", "generic")
+_FAMILIES = tuple(_GENERATORS)
 
 
 def _emit(text: str, out: str | None):

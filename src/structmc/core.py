@@ -108,13 +108,28 @@ class Alphabet:
 
 # ---------- problem geometry ---------- #
 
+def _entry_alphabet(alphabet: Alphabet, s: int, bounded: bool, side: str) -> Alphabet:
+    """The part of alphabet a bounded class allows, |v| <= 1: its finite values
+    in [-1, 1] or its interval clipped to them; unbounded, or on an identity
+    side (s = 0), the alphabet itself. A side left no value is refused."""
+    if not bounded or s == 0:
+        return alphabet
+    if alphabet.kind == "finite":
+        values = tuple(v for v in alphabet.values if abs(v) <= 1.0)
+        if values:
+            return replace(alphabet, values=values)
+    elif max(alphabet.lo, -1.0) <= min(alphabet.hi, 1.0):
+        return Alphabet.interval(max(alphabet.lo, -1.0), min(alphabet.hi, 1.0))
+    raise ParameterError(f"bounded class leaves {side} no entry: its alphabet has none in [-1, 1]")
+
+
 @dataclass(frozen=True)
 class StructureSpec:
     """Geometry of the class: theta = X B Z^T with row-sparse alphabet factors.
 
     s_n = 0 forces X to the n x n identity (so k_n must equal n); same for
-    s_m / Z. With bounded=True the class additionally imposes |X|, |Z| <= 1,
-    |B| <= b_max and |theta| <= theta_mx entrywise.
+    s_m / Z. With bounded=True the class additionally imposes |X|, |Z| <= 1
+    (see entry_alphabets), |B| <= b_max and |theta| <= theta_mx entrywise.
     """
 
     n: int
@@ -146,6 +161,9 @@ class StructureSpec:
             raise ParameterError("b_max must be positive")
         if self.theta_mx <= 0:
             raise ParameterError("theta_mx must be positive")
+        object.__setattr__(self, "_entry_alphabets", (
+            _entry_alphabet(self.alphabet_n, self.s_n, self.bounded, "X"),
+            _entry_alphabet(self.alphabet_m, self.s_m, self.bounded, "Z")))
 
     @property
     def d(self) -> int:
@@ -159,9 +177,21 @@ class StructureSpec:
     def r_m(self) -> int:
         return min(self.m, self.k_m)
 
+    @property
+    def entry_alphabets(self) -> tuple[Alphabet, Alphabet]:
+        """The alphabets of the nonzero entries of X and of Z (_entry_alphabet),
+        which every generator, search and cost rule reads."""
+        return self._entry_alphabets
+
     def unbounded(self) -> "StructureSpec":
         """The same geometry with the sup-norm bounds dropped."""
         return replace(self, bounded=False)
+
+
+def _check_p(p: float) -> None:
+    """The sampling-rate rule 0 < p <= 1; a NaN fails it too."""
+    if not (0.0 < p <= 1.0):
+        raise ParameterError(f"p must lie in (0, 1], got {p}")
 
 
 @dataclass(frozen=True)
@@ -204,8 +234,7 @@ class Observation:
             raise ShapeError(f"y has shape {y.shape} but mask has shape {mask.shape}")
         if not np.all((mask == 0) | (mask == 1)):
             raise ParameterError("mask entries must be 0 or 1")
-        if not (0.0 < self.p <= 1.0):
-            raise ParameterError(f"p must lie in (0, 1], got {self.p}")
+        _check_p(self.p)
         if np.any(y[mask == 0] != 0):
             raise ParameterError("y must be exactly 0 wherever mask is 0")
         if not np.all(np.isfinite(y)):
@@ -294,8 +323,8 @@ def validate_membership(f: Factorization, spec: StructureSpec, tol: float = 0.0)
 
     Violations are data, not failures: each one names the constraint, the
     index and the offending value. Every NaN or infinite entry of X, B and Z
-    is one. tol = 0 is for freshly generated factors (exact values); loaders
-    use tol = 1e-9 to absorb decimal round-trips.
+    is one. tol = 0 suits freshly generated factors (exact values); for factors
+    read back from decimal text, tol = 1e-9 absorbs the round-trip.
     """
     violations: list[str] = []
     if f.x.shape[0] != spec.n:
@@ -454,8 +483,7 @@ def _alphabet_from_obj(obj: dict) -> Alphabet:
     kind = _field(obj, "kind", "alphabet")
     if kind == "finite":
         _known(obj, ("kind", "values"), "finite alphabet")
-        return Alphabet(kind="finite",
-                        values=tuple(float(v) for v in _field(obj, "values", "alphabet")))
+        return Alphabet(kind="finite", values=tuple(_field(obj, "values", "alphabet")))
     if kind == "interval":
         _known(obj, ("kind", "lo", "hi"), "interval alphabet")
         return Alphabet.interval(_field(obj, "lo", "alphabet"), _field(obj, "hi", "alphabet"))

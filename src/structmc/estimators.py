@@ -35,6 +35,7 @@ from .core import (
     ParameterError,
     ShapeError,
     StructureSpec,
+    _check_p,
     assemble,
 )
 from .rates import penalty
@@ -101,20 +102,13 @@ def _row_count(k: int, s: int, alphabet: Alphabet | None = None) -> int:
     return sum(math.comb(k, j) * d ** j for j in range(s + 1))
 
 
-def row_candidate_count(k: int, s: int, alphabet: Alphabet) -> int:
-    """Sum_{j<=s} C(k, j) |D|^j — the documented per-row enumeration size."""
-    if s > 0 and alphabet.kind != "finite":
-        raise ParameterError("candidate rows are enumerable for finite alphabets only")
-    return _row_count(k, s, alphabet)
-
-
 def enumeration_size(spec: StructureSpec) -> int | None:
-    """Undeduped size of the exact search over (X, Z): the per-row candidate
-    count of X to the n times that of Z to the m; None when a side with
-    positive sparsity has an interval alphabet (nothing to enumerate)."""
+    """Undeduped size of the exact search over (X, Z) on the entry alphabets:
+    the per-row candidate count of X to the n times that of Z to the m; None
+    when a side with s > 0 has an interval alphabet (nothing to enumerate)."""
     size = 1
-    for s, k, rows, alph in ((spec.s_n, spec.k_n, spec.n, spec.alphabet_n),
-                             (spec.s_m, spec.k_m, spec.m, spec.alphabet_m)):
+    for s, k, rows, alph in ((spec.s_n, spec.k_n, spec.n, spec.entry_alphabets[0]),
+                             (spec.s_m, spec.k_m, spec.m, spec.entry_alphabets[1])):
         if s > 0 and alph.kind != "finite":
             return None
         size *= _row_count(k, s, alph) ** rows
@@ -122,21 +116,18 @@ def enumeration_size(spec: StructureSpec) -> int | None:
 
 
 @functools.lru_cache(maxsize=None)
-def _candidate_rows(k: int, s: int, alphabet: Alphabet, bounded: bool) -> np.ndarray:
-    """Distinct candidate rows, first occurrence kept, in the documented
-    order: support size ascending, index sets lexicographic within a size,
-    value tuples in alphabet product order. One read-only table per
-    argument tuple, shared by every fit."""
-    values = [v for v in alphabet.values if not bounded or abs(v) <= 1.0]
+def _candidate_rows(k: int, s: int, alphabet: Alphabet) -> np.ndarray:
+    """Distinct candidate rows over a finite entry alphabet, first occurrence
+    kept, in the documented order: support size ascending, index sets
+    lexicographic within a size, value tuples in alphabet product order. One
+    read-only table per argument tuple, shared by every fit."""
     seen = {}
     for j in range(s + 1):
         for support in itertools.combinations(range(k), j):
-            for vals in itertools.product(values, repeat=j):
+            for vals in itertools.product(alphabet.values, repeat=j):
                 row = np.zeros(k)
                 row[list(support)] = vals
-                key = row.tobytes()
-                if key not in seen:
-                    seen[key] = row
+                seen.setdefault(row.tobytes(), row)
     table = np.array(list(seen.values()))
     table.flags.writeable = False
     return table
@@ -322,12 +313,12 @@ def _exact(target, weights, spec: StructureSpec, cfg: SolverConfig) -> EstimateR
     if spec.s_n == 0:
         x_rows, x_index = np.eye(n), iter([tuple(range(n))])
     else:
-        x_rows = _candidate_rows(k_n, spec.s_n, spec.alphabet_n, spec.bounded)
+        x_rows = _candidate_rows(k_n, spec.s_n, spec.entry_alphabets[0])
         x_index = itertools.product(range(len(x_rows)), repeat=n)
     if spec.s_m == 0:
         z_all = np.eye(m)[None, :, :]
     else:
-        z_rows = _candidate_rows(k_m, spec.s_m, spec.alphabet_m, spec.bounded)
+        z_rows = _candidate_rows(k_m, spec.s_m, spec.entry_alphabets[1])
         z_all = z_rows[np.array(list(itertools.product(range(len(z_rows)), repeat=m)))]
 
     # pairs are taken in chunks so the (c, n, m) residuals and the closed
@@ -395,13 +386,6 @@ def _update_rows_finite(my, base, mask, p_rows, cand):
 
 
 _SUPPORT_LIMIT = 128
-
-
-def _interval_bounds(alphabet: Alphabet, bounded: bool) -> tuple[float, float]:
-    lo, hi = alphabet.lo, alphabet.hi
-    if bounded:
-        lo, hi = max(lo, -1.0), min(hi, 1.0)
-    return lo, hi
 
 
 @functools.lru_cache(maxsize=None)
@@ -487,18 +471,17 @@ def _pinv_1x1(d: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _init_factor(rng, rows, k, s, alphabet, bounded, cand):
+def _init_factor(rng, rows, k, s, alphabet, cand):
     """Random factor: rows drawn from the finite candidate table cand, or
     random s-sparse interval rows when cand is None; the identity if s = 0."""
     if s == 0:
         return np.eye(rows)
     if cand is not None:
         return cand[rng.integers(0, len(cand), size=rows)]
-    lo, hi = _interval_bounds(alphabet, bounded)
     out = np.zeros((rows, k))
     for i in range(rows):
         support = rng.choice(k, size=s, replace=False)
-        out[i, support] = rng.uniform(lo, hi, size=s)
+        out[i, support] = rng.uniform(alphabet.lo, alphabet.hi, size=s)
     return out
 
 
@@ -560,9 +543,9 @@ def block_coordinate_ls(obs: Observation, spec: StructureSpec, cfg: SolverConfig
 
 
 def _bcd_rows(spec: StructureSpec) -> tuple[int, int]:
-    """The rows one row update of X and of Z scores; refuses a finite side
-    whose per-row candidate count exceeds ROW_CANDIDATE_LIMIT."""
-    alphs = (spec.alphabet_n, spec.alphabet_m)
+    """The rows one row update of X and of Z scores on the entry alphabets;
+    refuses a finite side whose per-row count exceeds ROW_CANDIDATE_LIMIT."""
+    alphs = spec.entry_alphabets
     counts = (_row_count(spec.k_n, spec.s_n, alphs[0]), _row_count(spec.k_m, spec.s_m, alphs[1]))
     for count, alph, side in zip(counts, alphs, "XZ"):
         if alph.kind == "finite" and count > ROW_CANDIDATE_LIMIT:
@@ -576,10 +559,11 @@ def _bcd(target, weights, spec: StructureSpec, cfg: SolverConfig, seed: int,
     """block_coordinate_ls on target T and weights w (see the module docstring)."""
     _bcd_rows(spec)
     yp, mask = target, weights
-    cand_x = (None if spec.s_n == 0 or spec.alphabet_n.kind != "finite"
-              else _candidate_rows(spec.k_n, spec.s_n, spec.alphabet_n, spec.bounded))
-    cand_z = (None if spec.s_m == 0 or spec.alphabet_m.kind != "finite"
-              else _candidate_rows(spec.k_m, spec.s_m, spec.alphabet_m, spec.bounded))
+    alph_x, alph_z = spec.entry_alphabets
+    cand_x = (None if spec.s_n == 0 or alph_x.kind != "finite"
+              else _candidate_rows(spec.k_n, spec.s_n, alph_x))
+    cand_z = (None if spec.s_m == 0 or alph_z.kind != "finite"
+              else _candidate_rows(spec.k_m, spec.s_m, alph_z))
 
     pool = 1 if spec.s_n == 0 and spec.s_m == 0 else _INIT_POOL
     b_max = spec.b_max if spec.bounded else None
@@ -591,10 +575,8 @@ def _bcd(target, weights, spec: StructureSpec, cfg: SolverConfig, seed: int,
         if interval_side:
             xs, zs = [], []
             for _ in range(pool):
-                xs.append(_init_factor(rng, spec.n, spec.k_n, spec.s_n, spec.alphabet_n,
-                                       spec.bounded, cand_x))
-                zs.append(_init_factor(rng, spec.m, spec.k_m, spec.s_m, spec.alphabet_m,
-                                       spec.bounded, cand_z))
+                xs.append(_init_factor(rng, spec.n, spec.k_n, spec.s_n, alph_x, cand_x))
+                zs.append(_init_factor(rng, spec.m, spec.k_m, spec.s_m, alph_z, cand_z))
         else:
             # one integers call whose per-entry bounds give the per-draw
             # stream of _init_factor: rows_x indices into cand_x, then
@@ -618,13 +600,12 @@ def _bcd(target, weights, spec: StructureSpec, cfg: SolverConfig, seed: int,
             my = mk * y
             base = np.sum(my * y, axis=1)
             return lambda p_rows, rows: _update_rows_finite(my, base, mk, p_rows, cand)
-        lo, hi = _interval_bounds(alphabet, spec.bounded)
         return lambda p_rows, rows: np.array([
-            _update_rows_interval(y, mk, p_r, rows_r, s, lo, hi)[0]
+            _update_rows_interval(y, mk, p_r, rows_r, s, alphabet.lo, alphabet.hi)[0]
             for p_r, rows_r in zip(p_rows, rows)])
 
-    update_x = row_update(yp, mask, spec.s_n, spec.alphabet_n, cand_x) if spec.s_n else None
-    update_z = row_update(yp.T, mask.T, spec.s_m, spec.alphabet_m, cand_z) if spec.s_m else None
+    update_x = row_update(yp, mask, spec.s_n, alph_x, cand_x) if spec.s_n else None
+    update_z = row_update(yp.T, mask.T, spec.s_m, alph_z, cand_z) if spec.s_m else None
     # the state of the active restarts, live; an identity side stays a batch of one
     live = np.arange(cfg.restarts)
     x, b, z, obj = (np.array(v) for v in zip(*starts))
@@ -692,8 +673,7 @@ def hard_threshold(obs: Observation, lam: float) -> EstimateResult:
 
 def spectral_threshold(b: float, theta_mx: float, n: int, m: int, p: float, c: float) -> float:
     """lambda = c (b + theta_mx) sqrt(max(n, m) / p)."""
-    if not (0.0 < p <= 1.0):
-        raise ParameterError(f"p must lie in (0, 1], got {p}")
+    _check_p(p)
     if p < math.log(n + m) / max(n, m):
         warnings.warn(
             f"p = {p} is below log(n+m)/(n v m) = {math.log(n + m) / max(n, m):.4g}; "

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Factorization, ParameterError, StructureSpec, assemble, validate_membership
+from .core import (Factorization, ParameterError, StructureSpec, _check_p, assemble,
+                   validate_membership)
 from .simulate import PURPOSE_PACKING, stream
 
 __all__ = [
@@ -344,8 +345,7 @@ def _check_set_args(sigma: float, p: float, c0: float, cap: int) -> None:
         raise ParameterError(f"sigma must be positive and finite, got {sigma}")
     if not math.isfinite(c0):
         raise ParameterError(f"c0 must be finite, got {c0}")
-    if not (0.0 < p <= 1.0):
-        raise ParameterError(f"p must lie in (0, 1], got {p}")
+    _check_p(p)
     if cap < 2:
         raise ParameterError(f"cap must be >= 2 (a hypothesis set needs two points), got {cap}")
 
@@ -422,7 +422,7 @@ def build_t_b(spec: StructureSpec, sigma: float, p: float, c0: float,
         kl_bound = p * delta_sq / (2.0 * sigma ** 2)
     else:
         rng = stream(seed, PURPOSE_PACKING, 2)
-        if dim <= 20:
+        if 1 << dim <= _CANDIDATE_CAP:
             # every 0/1 code in the order of one permutation of their integers
             order, bits = rng.permutation(1 << dim), np.arange(dim)
             cands = ((order[lo:hi, None] >> bits) & 1 for lo, hi in _row_blocks(1 << dim))

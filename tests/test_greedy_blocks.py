@@ -117,8 +117,8 @@ def test_candidate_table_matches_the_support_loop(k, s, seed):
 def test_candidate_tables_are_built_once_and_read_only():
     table = packing_mod._weight_s_table(12, 3)
     assert table is packing_mod._weight_s_table(12, 3)
-    rows = est._candidate_rows(4, 2, BINARY, True)
-    assert rows is est._candidate_rows(4, 2, BINARY, True)
+    rows = est._candidate_rows(4, 2, BINARY)
+    assert rows is est._candidate_rows(4, 2, BINARY)
     for t in (table, rows):
         assert not t.flags.writeable
         with pytest.raises(ValueError):
