@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ParameterError, _field, _known, _loader, assemble, norms
+from .core import ParameterError, _check_p, _check_range, _field, _known, _loader, assemble, norms
 from .estimators import (
     METHODS,
     EnumerationRefusal,
@@ -79,18 +79,18 @@ class BenchConfig:
             raise ParameterError("grid must be non-empty")
         if not self.p_values:
             raise ParameterError("p_values must be non-empty")
-        if self.replicas < 1:
-            raise ParameterError("replicas must be >= 1")
+        for p in self.p_values:
+            _check_p(p)
+        _check_range("replicas", self.replicas, 1)
         if self.method not in METHODS:
             raise ParameterError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.method in ("svt", "adaptive") and (self.constant is None or self.constant <= 0):
-            raise ParameterError(f"method {self.method!r} needs a positive constant")
+        if self.method in ("svt", "adaptive") or self.constant is not None:
+            _check_range("constant", self.constant, 0, open_lo=True)
         if self.method == "svt" and self.noise.bound is None:
             raise ParameterError("svt needs almost-surely bounded noise for its threshold")
         if self.timing not in ("zero", "wall"):
             raise ParameterError(f"timing must be 'zero' or 'wall', got {self.timing!r}")
-        if self.budget <= 0:
-            raise ParameterError("budget must be positive")
+        _check_range("budget", self.budget, 0, open_lo=True)
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,7 @@ def estimate_cmd(method, obs_file, spec_file, lam, restarts, seed, out):
 
 @cli.command("rates")
 @click.option("--spec", "spec_file", required=True)
-@click.option("--family", "family_name", default=None, type=click.Choice(_FAMILIES[:-1]))
+@click.option("--family", "family_name", type=click.Choice([f for f in _FAMILIES if f != "generic"]))
 @click.option("--args", "args_csv", default=None, help="family parameters for --family")
 @click.option("--sigma", default=None, type=float)
 @click.option("--p", default=None, type=float)
@@ -181,6 +181,8 @@ def estimate_cmd(method, obs_file, spec_file, lam, restarts, seed, out):
 def rates_cmd(spec_file, family_name, args_csv, sigma, p, penalty_s, epsilon0, u, out):
     """Report rate components, closed-form family rates, penalties, and
     covering / critical-radius quantities for a class."""
+    if args_csv and not family_name:
+        raise ParameterError("--args needs --family")
     spec = spec_from_obj(load_json(spec_file))
     report = rate_components(spec, sigma=sigma, p=p)
     payload = {
@@ -228,8 +230,6 @@ def rates_cmd(spec_file, family_name, args_csv, sigma, p, penalty_s, epsilon0, u
 def packing_cmd(kind, spec_file, sigma, p, c0, cap, k, s, r, vectors_file, max_resamples, seed, out):
     """Build packings, sign embeddings, or certified hypothesis sets."""
     if kind == "code":
-        if k is None or s is None:
-            raise ParameterError("--kind code needs --k and --s")
         pk = sparse_binary_packing(k, s, seed=seed)
         payload = {
             "kind": "code", "k": pk.k, "s": pk.s,

@@ -49,6 +49,26 @@ class ParameterError(ValueError):
     """A parameter is outside its documented domain."""
 
 
+def _check_range(name: str, value, lo=-np.inf, hi=np.inf, *, open_lo: bool = False) -> None:
+    """The numeric-parameter rule: value must be a finite number in [lo, hi],
+    or in (lo, hi] with open_lo. A NaN fails every comparison and None or a
+    string fails to compare, so each fails by construction. The message is
+    worded from the bounds and names value."""
+    try:
+        ok = -np.inf < value < np.inf and (lo < value if open_lo else lo <= value) and value <= hi
+    except TypeError:
+        ok = False
+    if not ok:
+        if hi < np.inf:
+            rule = f"lie in {'(' if open_lo else '['}{lo}, {hi}]"
+        elif lo == -np.inf:
+            rule = "be finite"
+        else:
+            bound = ("positive" if lo == 0 else f"> {lo}") if open_lo else f">= {lo}"
+            rule = f"be {bound} and finite"
+        raise ParameterError(f"{name} must {rule}, got {value}")
+
+
 def _freeze(a, dtype=float) -> np.ndarray:
     """Defensive copy as a read-only float array."""
     out = np.array(a, dtype=dtype)
@@ -75,14 +95,13 @@ class Alphabet:
             if not self.values:
                 raise ParameterError("finite alphabet must be non-empty")
             vals = tuple(float(v) for v in self.values)
-            if any(b <= a for a, b in zip(vals, vals[1:])):
-                raise ParameterError("finite alphabet values must be strictly increasing")
+            # strictly increasing: each value lies above the one before it
+            for before, v in zip((-np.inf, *vals), vals):
+                _check_range("alphabet value", v, before, open_lo=True)
             object.__setattr__(self, "values", vals)
         elif self.kind == "interval":
-            if self.lo is None or self.hi is None:
-                raise ParameterError("interval alphabet needs lo and hi")
-            if self.lo > self.hi:
-                raise ParameterError(f"interval alphabet requires lo <= hi, got [{self.lo}, {self.hi}]")
+            _check_range("alphabet lo", self.lo)
+            _check_range("alphabet hi", self.hi, self.lo)
         else:
             raise ParameterError(f"unknown alphabet kind {self.kind!r}")
 
@@ -146,21 +165,16 @@ class StructureSpec:
 
     def __post_init__(self):
         for name in ("n", "m", "k_n", "k_m"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be a positive integer")
-        if not (0 <= self.s_n <= self.k_n):
-            raise ParameterError(f"s_n must satisfy 0 <= s_n <= k_n, got {self.s_n}")
-        if not (0 <= self.s_m <= self.k_m):
-            raise ParameterError(f"s_m must satisfy 0 <= s_m <= k_m, got {self.s_m}")
+            _check_range(name, getattr(self, name), 1)
+        _check_range("s_n", self.s_n, 0, self.k_n)
+        _check_range("s_m", self.s_m, 0, self.k_m)
         # s = 0 means the factor is pinned to the identity
         if self.s_n == 0 and self.k_n != self.n:
             raise ParameterError("s_n = 0 forces X = I, which requires k_n = n")
         if self.s_m == 0 and self.k_m != self.m:
             raise ParameterError("s_m = 0 forces Z = I, which requires k_m = m")
-        if self.b_max <= 0:
-            raise ParameterError("b_max must be positive")
-        if self.theta_mx <= 0:
-            raise ParameterError("theta_mx must be positive")
+        _check_range("b_max", self.b_max, 0, open_lo=True)
+        _check_range("theta_mx", self.theta_mx, 0, open_lo=True)
         object.__setattr__(self, "_entry_alphabets", (
             _entry_alphabet(self.alphabet_n, self.s_n, self.bounded, "X"),
             _entry_alphabet(self.alphabet_m, self.s_m, self.bounded, "Z")))
@@ -189,9 +203,8 @@ class StructureSpec:
 
 
 def _check_p(p: float) -> None:
-    """The sampling-rate rule 0 < p <= 1; a NaN fails it too."""
-    if not (0.0 < p <= 1.0):
-        raise ParameterError(f"p must lie in (0, 1], got {p}")
+    """The sampling-rate rule 0 < p <= 1."""
+    _check_range("p", p, 0, 1, open_lo=True)
 
 
 @dataclass(frozen=True)
@@ -239,8 +252,9 @@ class Observation:
             raise ParameterError("y must be exactly 0 wherever mask is 0")
         if not np.all(np.isfinite(y)):
             raise ParameterError("observed entries of y must be finite")
-        if self.sigma < 0:
-            raise ParameterError("sigma must be >= 0")
+        _check_range("sigma", self.sigma, 0)
+        if self.b is not None:
+            _check_range("b", self.b, 0)
 
     @property
     def y_rescaled(self) -> np.ndarray:
@@ -326,6 +340,7 @@ def validate_membership(f: Factorization, spec: StructureSpec, tol: float = 0.0)
     is one. tol = 0 suits freshly generated factors (exact values); for factors
     read back from decimal text, tol = 1e-9 absorbs the round-trip.
     """
+    _check_range("tol", tol, 0)
     violations: list[str] = []
     if f.x.shape[0] != spec.n:
         violations.append(f"shape X: expected {spec.n} rows, got {f.x.shape[0]}")
@@ -424,7 +439,7 @@ def _loader(what: str):
                 return load(obj)
             except (ParameterError, ShapeError):
                 raise
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ParameterError(f"malformed {what} JSON: {exc}") from exc
         return checked
     return wrap

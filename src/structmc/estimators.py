@@ -36,6 +36,7 @@ from .core import (
     ShapeError,
     StructureSpec,
     _check_p,
+    _check_range,
     assemble,
 )
 from .rates import penalty
@@ -75,8 +76,9 @@ class SolverConfig:
     exhaustive_limit: int = 1_000_000
 
     def __post_init__(self):
-        if min(self.restarts, self.max_iterations) < 1 or self.tol <= 0 or self.exhaustive_limit < 1:
-            raise ParameterError("all SolverConfig fields must be positive")
+        for name in ("restarts", "max_iterations", "exhaustive_limit"):
+            _check_range(name, getattr(self, name), 1)
+        _check_range("tol", self.tol, 0, open_lo=True)
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,8 @@ class EstimateResult:
     converged: bool = True
 
     def __post_init__(self):
+        if math.isnan(self.objective):
+            raise RuntimeError("estimator objective is NaN")
         object.__setattr__(self, "objective", max(0.0, float(self.objective)))
 
 
@@ -662,8 +666,7 @@ def hard_threshold(obs: Observation, lam: float) -> EstimateResult:
 
     The objective reports the discarded energy sum_{sigma_j < lam} sigma_j^2.
     """
-    if lam < 0:
-        raise ParameterError("lambda must be >= 0")
+    _check_range("lambda", lam, 0)
     u, s, vt = np.linalg.svd(obs.y_rescaled, full_matrices=False)
     keep = s >= lam
     theta = (u[:, keep] * s[keep]) @ vt[keep]
@@ -674,6 +677,9 @@ def hard_threshold(obs: Observation, lam: float) -> EstimateResult:
 def spectral_threshold(b: float, theta_mx: float, n: int, m: int, p: float, c: float) -> float:
     """lambda = c (b + theta_mx) sqrt(max(n, m) / p)."""
     _check_p(p)
+    _check_range("b", b, 0)
+    _check_range("theta_mx", theta_mx, 0, open_lo=True)
+    _check_range("c", c, 0, open_lo=True)
     if p < math.log(n + m) / max(n, m):
         warnings.warn(
             f"p = {p} is below log(n+m)/(n v m) = {math.log(n + m) / max(n, m):.4g}; "
@@ -720,8 +726,7 @@ def adaptive_penalized(obs: Observation, base_spec: StructureSpec, lam: float,
     sparsity, then pays lam * R(s_n, s_m). Ties go to smaller s_n + s_m, then
     smaller s_n. Solver refusals propagate.
     """
-    if lam <= 0:
-        raise ParameterError("lambda must be positive")
+    _check_range("lambda", lam, 0, open_lo=True)
     n, m, d = base_spec.n, base_spec.m, base_spec.d
     if n * m * math.log(3 * math.sqrt(min(n, m))) < 6 * math.log(base_spec.k_n * base_spec.k_m) or d < 10:
         warnings.warn("problem size is below the regime the penalty calibration targets",
@@ -756,8 +761,6 @@ def estimate(method: str, obs: Observation, spec: StructureSpec, cfg: SolverConf
     exact and bcd ignore it."""
     if method not in METHODS:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
-    if method in ("svt", "adaptive") and lam is None:
-        raise ParameterError(f"{method} needs lambda")
     if method == "exact":
         return exact_least_squares(obs, spec, cfg)
     if method == "bcd":

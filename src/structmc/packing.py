@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Factorization, ParameterError, StructureSpec, _check_p, assemble,
-                   validate_membership)
+from .core import (Factorization, ParameterError, StructureSpec, _check_p, _check_range,
+                   assemble, validate_membership)
 from .simulate import PURPOSE_PACKING, stream
 
 __all__ = [
@@ -228,10 +228,8 @@ def sparse_binary_packing(k: int, s: int,
     distance >= c3*s from everything accepted so far. Fails loudly when the
     accepted count falls short of log(count) >= c1 * s * ln(e k / s).
     """
-    if k < 2:
-        raise ParameterError(f"packing needs k >= 2, got {k}")
-    if not 1 <= s <= k:
-        raise ParameterError(f"s must lie in [1, {k}], got {s}")
+    _check_range("k", k, 2)
+    _check_range("s", s, 1, k)
     c1, c2, c3 = target_c
     rng = stream(seed, PURPOSE_PACKING, 0)
     codewords = _greedy_select(_weight_s_candidates(k, s, rng), threshold=c3 * s)
@@ -260,10 +258,8 @@ def sign_embedding(r: int, vectors, seed: int = 0, max_resamples: int = 100) -> 
     given vectors: (r/2) ||a-b||^2 <= ||Q(a-b)||^2 <= (3r/2) ||a-b||^2 for
     every pair, verified exhaustively. Resamples until the check passes.
     """
-    if r < 1:
-        raise ParameterError(f"r must be >= 1, got {r}")
-    if max_resamples < 1:
-        raise ParameterError(f"max_resamples must be >= 1, got {max_resamples}")
+    _check_range("r", r, 1)
+    _check_range("max_resamples", max_resamples, 1)
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or len(vectors) < 1:
         raise ParameterError("vectors must be a non-empty 2-d collection")
@@ -340,14 +336,11 @@ def _certified(facts, spec: StructureSpec, p: float, sigma: float, sep_bound: fl
 
 def _check_set_args(sigma: float, p: float, c0: float, cap: int) -> None:
     """The noise level, sampling rate, scale and size cap shared by both
-    builders. A NaN fails no comparison, so finiteness is checked first."""
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ParameterError(f"sigma must be positive and finite, got {sigma}")
-    if not math.isfinite(c0):
-        raise ParameterError(f"c0 must be finite, got {c0}")
+    builders; a set of fewer than two hypotheses carries no bound."""
+    _check_range("sigma", sigma, 0, open_lo=True)
+    _check_range("c0", c0)
     _check_p(p)
-    if cap < 2:
-        raise ParameterError(f"cap must be >= 2 (a hypothesis set needs two points), got {cap}")
+    _check_range("cap", cap, 2)
 
 
 def build_t_z(spec: StructureSpec, sigma: float, p: float, c0: float,
@@ -359,10 +352,8 @@ def build_t_z(spec: StructureSpec, sigma: float, p: float, c0: float,
     pairwise geometry is exactly m * delta^2 * ||Q(a_u - a_v)||^2 and the
     separation / KL certificates hold with no slack assumptions.
     """
-    if spec.k_m < 2:
-        raise ParameterError("the row-assignment construction needs k_m >= 2")
-    if spec.s_m < 1:
-        raise ParameterError("s_m must be >= 1 (Z carries the hypotheses)")
+    _check_range("k_m", spec.k_m, 2)
+    _check_range("s_m", spec.s_m, 1)
     _check_set_args(sigma, p, c0, cap)
     c1, _, c3 = _DEFAULT_CONSTANTS
     s0 = sparse_binary_packing(spec.k_m, spec.s_m, seed=seed)

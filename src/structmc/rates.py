@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, StructureSpec, _check_p
+from .core import ParameterError, StructureSpec, _check_p, _check_range
 from .simulate import ModelFamily
 
 __all__ = [
@@ -85,8 +85,8 @@ def rate_components(spec: StructureSpec, sigma: float | None = None, p: float | 
 
     R_X = min(n r_m, n s_n ln(e k_n / s_n)) and vanishes at s_n = 0 (the
     factor is pinned to the identity, so there is nothing to learn);
-    R_B = r_n r_m; R_Z symmetric to R_X. If sigma and p are given, the
-    lower-bound values are filled in as well.
+    R_B = r_n r_m; R_Z symmetric to R_X. If sigma or p is given, both must
+    be, and the lower-bound values are filled in as well.
     """
     n, m = spec.n, spec.m
     r_n, r_m = spec.r_n, spec.r_m
@@ -95,7 +95,7 @@ def rate_components(spec: StructureSpec, sigma: float | None = None, p: float | 
     r_b = float(r_n * r_m)
     total = r_x + r_b + r_z
     frob_low = spec_low = 0.0
-    if sigma is not None and p is not None:
+    if sigma is not None or p is not None:
         frob_low, spec_low = lower_values(spec, sigma, p, c_frob, c_spec)
     return RateReport(r_x=r_x, r_b=r_b, r_z=r_z, total=total,
                       frobenius_lower=frob_low, spectral_lower=spec_low)
@@ -132,11 +132,10 @@ def lower_values(spec: StructureSpec, sigma: float, p: float,
     The constants are existence constants; defaults of 1 make the scaling
     explicit rather than hiding a guess.
     """
-    if sigma < 0:
-        raise ParameterError("sigma must be >= 0")
+    _check_range("sigma", sigma, 0)
     _check_p(p)
-    if c_frob <= 0 or c_spec <= 0:
-        raise ParameterError("constants must be positive")
+    _check_range("c_frob", c_frob, 0, open_lo=True)
+    _check_range("c_spec", c_spec, 0, open_lo=True)
     total = rate_components(spec).total
     frob = c_frob * sigma ** 2 / p * total
     spectral = c_spec * sigma ** 2 / p * max(spec.n, spec.m)
@@ -157,8 +156,7 @@ def _covering_terms(spec: StructureSpec, u: float):
     then checks eps and takes the remaining logs: math.log on a float, or
     np.log elementwise on an array of eps, every entry checked.
     """
-    if not (0.0 < u <= 1.0):
-        raise ParameterError(f"u must lie in (0, 1], got {u}")
+    _check_range("u", u, 0, 1, open_lo=True)
     if not spec.bounded:
         raise ParameterError("covering bounds are defined for bounded specs only")
     n, m = spec.n, spec.m
@@ -264,8 +262,7 @@ def critical_radius(total_entries: float, covering_fn) -> float:
     bisection calls it with floats.
     """
     n_total = float(total_entries)
-    if n_total <= 0:
-        raise ParameterError("total_entries must be positive")
+    _check_range("total_entries", n_total, 0, open_lo=True)
     grid = np.logspace(math.log10(_EPS_MIN), 0.0, _GRID_POINTS)
     cover = np.asarray(covering_fn(grid), dtype=float)
     if cover.shape not in ((), grid.shape):
@@ -318,8 +315,7 @@ def critical_radius(total_entries: float, covering_fn) -> float:
 
 def kl_divergence(theta: np.ndarray, theta_prime: np.ndarray, p: float, sigma: float) -> float:
     """KL between the observation laws of two signals: p ||theta-theta'||_2^2 / (2 sigma^2)."""
-    if sigma <= 0:
-        raise ParameterError("sigma must be positive for the KL divergence")
+    _check_range("sigma", sigma, 0, open_lo=True)
     _check_p(p)
     diff = np.asarray(theta, dtype=float) - np.asarray(theta_prime, dtype=float)
     return float(p * np.sum(diff * diff) / (2.0 * sigma ** 2))
@@ -331,10 +327,8 @@ def penalty(s_n: int, s_m: int, spec: StructureSpec) -> float:
     Evaluated exactly as displayed — k_n appears inside BOTH bracketed log
     terms (not k_m in the second); tests pin that transcription.
     """
-    if not (1 <= s_n <= spec.k_n):
-        raise ParameterError(f"s_n must lie in [1, k_n], got {s_n}")
-    if not (1 <= s_m <= spec.k_m):
-        raise ParameterError(f"s_m must lie in [1, k_m], got {s_m}")
+    _check_range("s_n", s_n, 1, spec.k_n)
+    _check_range("s_m", s_m, 1, spec.k_m)
     n, m = spec.n, spec.m
     r_n, r_m = spec.r_n, spec.r_m
     low = min(n, m)

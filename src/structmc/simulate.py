@@ -29,6 +29,7 @@ from .core import (
     ShapeError,
     StructureSpec,
     _check_p,
+    _check_range,
     _known,
 )
 
@@ -105,10 +106,9 @@ class NoiseKind:
     def __post_init__(self):
         if self.variant not in {v for v, _ in NOISE_KINDS.values()}:
             raise ParameterError(f"unknown noise variant {self.variant!r}")
-        if min(self.sigma, self.scale, self.b) < 0:
-            raise ParameterError("noise scale parameters must be >= 0")
-        if self.variant == "truncated_gaussian" and self.b < self.sigma:
-            raise ParameterError("truncated_gaussian requires b >= sigma")
+        _check_range("sigma", self.sigma, 0)
+        _check_range("scale", self.scale, 0)
+        _check_range("b", self.b, self.sigma if self.variant == "truncated_gaussian" else 0)
 
     @classmethod
     def from_obj(cls, obj) -> "NoiseKind":
@@ -197,12 +197,9 @@ class ModelFamily:
             if self.spec is None:
                 raise ParameterError("generic family needs a StructureSpec")
             return
-        # a variant's parameters are those of its constructor
-        if any(getattr(self, name) < 1
-               for name in inspect.signature(getattr(ModelFamily, v)).parameters):
-            raise ParameterError(f"{v} family parameters must be positive")
-        if v in ("dictionary", "mixed_membership") and self.s > self.k:
-            raise ParameterError(f"{v} requires s <= k, got s={self.s} k={self.k}")
+        # a variant's parameters are those of its constructor; a row's weight s is at most k
+        for name in inspect.signature(getattr(ModelFamily, v)).parameters:
+            _check_range(name, getattr(self, name), 1, self.k if name == "s" else np.inf)
 
     @classmethod
     def mixture(cls, n, m, k):

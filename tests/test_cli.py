@@ -133,6 +133,32 @@ def test_estimate_svt_needs_lambda(pipeline_files, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("method", ["svt", "adaptive"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_estimate_non_finite_lambda_is_a_config_error(pipeline_files, capsys, method, value):
+    # a NaN lambda used to exit 0 with objective 0.0 (max(0.0, nan))
+    theta, spec, obs = pipeline_files
+    code = main(["estimate", "--method", method, "--obs", str(obs), "--spec", str(spec),
+                 "--lambda", value])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: lambda must be ")
+
+
+def test_observe_non_finite_sigma_names_sigma(pipeline_files, capsys):
+    # it used to exit 2 blaming the observed entries of y
+    theta, _, _ = pipeline_files
+    assert main(["observe", "--theta", str(theta), "--p", "0.8", "--noise", "gaussian",
+                 "--sigma", "nan"]) == 2
+    assert capsys.readouterr().err.startswith("error: sigma must be ")
+
+
+def test_gen_nan_interval_bound_is_a_config_error(tmp_path, capsys):
+    # json reads NaN; the draw used to die with an OverflowError traceback
+    spec = write_spec(tmp_path, alphabet_n={"kind": "interval", "lo": float("nan"), "hi": 1.0})
+    assert main(["gen", "--family", "generic", "--spec", spec]) == 2
+    assert capsys.readouterr().err.startswith("error: alphabet lo must be finite")
+
+
 def test_estimate_rejects_nan_observation(pipeline_files, capsys):
     theta, spec, obs = pipeline_files
     payload = json.loads(obs.read_text())
@@ -201,6 +227,22 @@ def test_rates_critical_radius_block(tmp_path, capsys):
     assert block["epsilon0"] == pytest.approx(0.9127904095775046, abs=1e-9)
     assert block["u"] == 0.7
     assert {"r1", "r2", "r3", "r4", "min_bound"} <= set(block)
+
+
+@pytest.mark.parametrize("flags, name", [(("--sigma", "1.0"), "p"), (("--p", "0.5"), "sigma"),
+                                         (("--sigma", "nan", "--p", "1"), "sigma")])
+def test_rates_lower_values_need_finite_sigma_and_p_together(tmp_path, capsys, flags, name):
+    # one of the two used to report frobenius_lower = spectral_lower = 0.0, and a
+    # NaN sigma wrote NaN literals
+    code = main(["rates", "--spec", write_spec(tmp_path), *flags])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {name} must ")
+
+
+def test_rates_args_need_family(tmp_path, capsys):
+    # --args used to be ignored without --family
+    assert main(["rates", "--spec", write_spec(tmp_path), "--args", "100,5"]) == 2
+    assert capsys.readouterr().err.startswith("error: --args needs --family")
 
 
 def test_rates_epsilon0_unbounded_spec_fails_cleanly(tmp_path, capsys):
@@ -338,6 +380,20 @@ def test_bench_budget_exit_code(tmp_path, capsys):
     cfg.write_text(json.dumps(bench_config_obj(budget=1.0)))
     code, _ = run(capsys, "bench", "--config", str(cfg))
     assert code == 3
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"budget": float("nan")}, "budget must be positive and finite"),
+    ({"method": "svt", "constant": float("nan"), "noise": {"kind": "uniform", "b": 0.5}},
+     "constant must be positive and finite"),
+    ({"replicas": float("inf")}, "malformed bench config JSON")])
+def test_bench_non_finite_number_is_a_config_error(tmp_path, capsys, overrides, message):
+    # a NaN budget used to switch the budget refusal off, a NaN svt constant gave
+    # ok rows with theta-hat = 0, and an infinite replica count died in int()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bench_config_obj(**overrides)))
+    assert main(["bench", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_bench_malformed_config_exit_code(tmp_path, capsys):

@@ -57,6 +57,12 @@ def test_result_objective_never_negative():
     assert r.objective == 0.0
 
 
+def test_result_nan_objective_is_a_defect_not_zero():
+    # max(0.0, nan) is 0.0, which used to report a NaN fit as a perfect one
+    with pytest.raises(RuntimeError, match="NaN"):
+        est.EstimateResult(theta_hat=np.zeros((2, 2)), objective=float("nan"))
+
+
 def test_row_candidate_count_hand_values():
     assert est._row_count(2, 1, BINARY) == 5      # 1 + C(2,1)*2
     assert est._row_count(3, 2, BINARY) == 19     # 1 + 6 + 12

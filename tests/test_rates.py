@@ -323,6 +323,27 @@ def test_critical_radius_allows_inf_at_small_eps():
     assert critical_radius(100.0, cover) == critical_radius(100.0, lambda e: 25.0)
 
 
+def test_critical_radius_averages_the_grid_neighbours_of_a_jump():
+    # N eps^2 = 25 at eps = 0.5, between the cover's 100 below and 10 from there on,
+    # so the bisection's point fails the sandwich and the fallback returns the mean
+    # of the probe-grid points on either side of the jump
+    def cover(e):
+        return np.where(np.asarray(e) < 0.5, 100.0, 10.0)
+    grid = np.logspace(-8, 0, 10000)
+    expected = 0.5 * (float(grid[grid >= 0.5].min()) + float(grid[grid < 0.5].max()))
+    assert expected == 0.49976985997453477
+    assert critical_radius(100, cover) == expected
+
+
+def test_lower_values_need_sigma_and_p_together():
+    # either one alone used to leave both lower-bound values at 0.0
+    spec = bounded_spec(4, 4, 2, 2, 1, 1)
+    with pytest.raises(ParameterError, match="^p must"):
+        rate_components(spec, sigma=1.0)
+    with pytest.raises(ParameterError, match="^sigma must"):
+        rate_components(spec, p=0.5)
+
+
 def test_critical_radius_rejects_a_result_of_the_wrong_shape():
     with pytest.raises(ContractViolationError, match="shape"):
         critical_radius(100.0, lambda e: np.full(3, 25.0))

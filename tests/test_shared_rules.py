@@ -1,7 +1,8 @@
 """Rules with one home in the package: the bounded class's entry range
 (StructureSpec.entry_alphabets), read by the generator, both searches and
-their cost rules; the sampling-rate rule 0 < p <= 1; and the family list of
-the command line.
+their cost rules; the numeric-parameter rule (core._check_range) and the
+sampling-rate rule 0 < p <= 1 it holds; and the family list of the command
+line.
 """
 
 import json
@@ -11,12 +12,13 @@ import re
 import numpy as np
 import pytest
 
-from structmc import (Alphabet, ModelFamily, Observation, ParameterError, StructureSpec,
-                      assemble, build_t_b, generate, kl_divergence, lower_values, observe,
-                      sample_mask, validate_membership)
+from structmc import (Alphabet, BenchConfig, ModelFamily, NoiseKind, Observation, ParameterError,
+                      StructureSpec, assemble, build_t_b, covering_min_bound, critical_radius,
+                      generate, kl_divergence, lower_values, observe, sample_mask,
+                      validate_membership)
 from structmc import estimators as est
 from structmc.cli import cli, main
-from structmc.core import spec_to_obj
+from structmc.core import _check_range, spec_to_obj
 from structmc.simulate import _GENERATORS
 
 WIDE = Alphabet.finite(range(-3, 4))
@@ -125,6 +127,83 @@ P_ENTRY_POINTS = {
 def test_sampling_rate_rule_is_one_rule(name, p):
     with pytest.raises(ParameterError, match=f"^{re.escape(f'p must lie in (0, 1], got {p}')}$"):
         P_ENTRY_POINTS[name](p)
+
+
+# ---- the numeric-parameter rule ------------------------------------------- #
+
+@pytest.mark.parametrize("bounds, value, message", [
+    ({}, math.nan, "x must be finite, got nan"),
+    ({}, "1", "x must be finite, got 1"),
+    ({"lo": 0}, -1, "x must be >= 0 and finite, got -1"),
+    ({"lo": 0}, math.inf, "x must be >= 0 and finite, got inf"),
+    ({"lo": 0}, None, "x must be >= 0 and finite, got None"),
+    ({"lo": 2}, 1, "x must be >= 2 and finite, got 1"),
+    ({"lo": 0, "open_lo": True}, 0.0, "x must be positive and finite, got 0.0"),
+    ({"lo": 1, "open_lo": True}, 1, "x must be > 1 and finite, got 1"),
+    ({"lo": 0, "hi": 1, "open_lo": True}, 0, "x must lie in (0, 1], got 0"),
+    ({"lo": 1, "hi": 3}, 4, "x must lie in [1, 3], got 4"),
+    ({"lo": 1, "hi": 3}, math.nan, "x must lie in [1, 3], got nan"),
+])
+def test_range_check_is_worded_from_its_bounds(bounds, value, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        _check_range("x", value, **bounds)
+
+
+@pytest.mark.parametrize("bounds, value", [({}, 1e308), ({"lo": 0}, 0), ({"lo": 1, "hi": 3}, 3),
+                                           ({"lo": 0, "hi": 1, "open_lo": True}, 1.0),
+                                           ({"lo": 0, "open_lo": True}, 5e-324)])
+def test_range_check_accepts_finite_values_in_range(bounds, value):
+    _check_range("x", value, **bounds)
+
+
+OBS = Observation(y=np.zeros((2, 2)), mask=np.ones((2, 2)), p=1.0)
+FACT, FACT_SPEC = generate(ModelFamily.sbm(4, 2), seed=0)
+
+
+def bench_config(**kw):
+    return BenchConfig(**{"family": "sbm", "grid": ((8, 2),), "p_values": (1.0,),
+                          "noise": NoiseKind.uniform_bounded(0.5), "method": "svt",
+                          "solver": est.SolverConfig(), "replicas": 1, "seed": 0,
+                          "constant": 1.0, **kw})
+
+
+# (the parameter the message names, a call with that parameter set to v)
+NUMBER_ENTRY_POINTS = [
+    ("alphabet value", lambda v: Alphabet.finite((0.0, v))),
+    ("alphabet lo", lambda v: Alphabet.interval(v, 1.0)),
+    ("alphabet hi", lambda v: Alphabet.interval(0.0, v)),
+    ("b_max", lambda v: StructureSpec(4, 4, 2, 2, 1, 1, TERNARY, TERNARY, b_max=v)),
+    ("theta_mx", lambda v: StructureSpec(4, 4, 2, 2, 1, 1, TERNARY, TERNARY, theta_mx=v)),
+    ("sigma", lambda v: Observation(y=np.zeros((2, 2)), mask=np.ones((2, 2)), p=1.0, sigma=v)),
+    ("b", lambda v: Observation(y=np.zeros((2, 2)), mask=np.ones((2, 2)), p=1.0, b=v)),
+    ("tol", lambda v: validate_membership(FACT, FACT_SPEC, tol=v)),
+    ("tol", lambda v: est.SolverConfig(tol=v)),
+    ("lambda", lambda v: est.hard_threshold(OBS, v)),
+    ("lambda", lambda v: est.adaptive_penalized(OBS, SPEC, v, est.SolverConfig(), 0)),
+    ("b", lambda v: est.spectral_threshold(v, 1.0, 4, 4, 1.0, 1.0)),
+    ("theta_mx", lambda v: est.spectral_threshold(1.0, v, 4, 4, 1.0, 1.0)),
+    ("c", lambda v: est.spectral_threshold(1.0, 1.0, 4, 4, 1.0, v)),
+    ("sigma", lambda v: lower_values(SPEC, v, 1.0)),
+    ("c_frob", lambda v: lower_values(SPEC, 1.0, 1.0, c_frob=v)),
+    ("u", lambda v: covering_min_bound(SPEC, v)),
+    ("total_entries", lambda v: critical_radius(v, lambda e: 1.0)),
+    ("sigma", lambda v: kl_divergence(np.zeros((2, 2)), np.ones((2, 2)), 1.0, v)),
+    ("sigma", lambda v: NoiseKind.gaussian(v)),
+    ("scale", lambda v: NoiseKind.rademacher(v)),
+    ("b", lambda v: NoiseKind.uniform_bounded(v)),
+    ("sigma", lambda v: build_t_b(SPEC, v, 1.0, 0.5)),
+    ("c0", lambda v: build_t_b(SPEC, 1.0, 1.0, v)),
+    ("budget", lambda v: bench_config(budget=v)),
+    ("constant", lambda v: bench_config(constant=v)),
+]
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, call", NUMBER_ENTRY_POINTS,
+                         ids=[f"{i}-{name}" for i, (name, _) in enumerate(NUMBER_ENTRY_POINTS)])
+def test_numeric_parameter_rule_rejects_non_finite_values_by_name(name, call, v):
+    with pytest.raises(ParameterError, match=f"^{name} must "):
+        call(v)
 
 
 # ---- the family list ------------------------------------------------------ #
