@@ -17,6 +17,7 @@ logged as a warning on the "structmc.bench" logger with its class and message.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import logging
 import math
@@ -25,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ParameterError, _check_p, _check_range, _field, _known, _loader, assemble, norms
+from .core import ParameterError, _check_p, _check_range, _from_obj, _loader, _typed, assemble, norms
 from .estimators import (
     METHODS,
     EnumerationRefusal,
@@ -68,7 +69,7 @@ class BenchConfig:
     method: str
     solver: SolverConfig
     replicas: int
-    seed: int
+    seed: int = 0
     constant: float | None = None   # svt: threshold factor c; adaptive: penalty weight
     out: str | None = None
     timing: str = "zero"            # "zero" | "wall"
@@ -131,30 +132,13 @@ CSV_HEADER = ",".join(_COLUMNS)
 
 @_loader("bench config")
 def bench_config_from_obj(obj: dict) -> BenchConfig:
-    """Parse the bench config JSON object (see README for the shape)."""
-    _known(obj, ("family", "grid", "p", "noise", "method", "solver", "replicas", "seed",
-                 "constant", "out", "timing", "budget"), "bench config")
-
-    def req(key):
-        return _field(obj, key, "bench config")
-
-    # absent keys keep SolverConfig's defaults
-    kinds = {"restarts": int, "max_iterations": int, "tol": float, "exhaustive_limit": int}
-    solver_obj = _known(obj.get("solver", {}), kinds, "bench config 'solver'")
-    return BenchConfig(
-        family=req("family"),
-        grid=tuple(tuple(g) for g in req("grid")),
-        p_values=tuple(float(p) for p in req("p")),
-        noise=NoiseKind.from_obj(obj.get("noise", {})),
-        method=req("method"),
-        solver=SolverConfig(**{key: kinds[key](v) for key, v in solver_obj.items()}),
-        replicas=int(req("replicas")),
-        seed=int(obj.get("seed", 0)),
-        constant=None if obj.get("constant") is None else float(obj["constant"]),
-        out=obj.get("out"),
-        timing=obj.get("timing", "zero"),
-        budget=float(obj.get("budget", 1e9)),
-    )
+    """Parse the bench config JSON object (see README for the shape): "p" holds
+    p_values, a grid cell lists integers, and absent noise or solver reads as {}."""
+    config = functools.partial(BenchConfig, noise=NoiseKind.from_obj({}), solver=SolverConfig())
+    return _from_obj(config, obj, "bench config", renamed={"p_values": "p"},
+                     grid=lambda grid: _typed("grid", grid, tuple[tuple[int, ...], ...]),
+                     noise=NoiseKind.from_obj,
+                     solver=lambda solver: _from_obj(SolverConfig, solver, "bench config 'solver'"))
 
 
 def _family_for(name: str, args: tuple) -> ModelFamily:

@@ -101,17 +101,12 @@ def gen_cmd(family, args_csv, spec_file, seed, out_theta, out_factorization, out
     fam = _build_family(family, args_csv, spec_file)
     fact, spec = generate(fam, seed)
     theta = assemble(fact)
-    wrote = False
-    if out_theta:
-        _emit(dumps_canonical(matrix_to_obj(theta)), out_theta)
-        wrote = True
-    if out_factorization:
-        _emit(dumps_canonical(factorization_to_obj(fact)), out_factorization)
-        wrote = True
-    if out_spec:
-        _emit(dumps_canonical(spec_to_obj(spec)), out_spec)
-        wrote = True
-    if not wrote:
+    outputs = ((out_theta, matrix_to_obj, theta), (out_factorization, factorization_to_obj, fact),
+               (out_spec, spec_to_obj, spec))
+    for path, to_obj, value in outputs:
+        if path:
+            _emit(dumps_canonical(to_obj(value)), path)
+    if not any(path for path, _, _ in outputs):
         _emit(dumps_canonical({"spec": spec_to_obj(spec), "theta": matrix_to_obj(theta)}), None)
 
 
@@ -129,14 +124,13 @@ def observe_cmd(theta_file, p, noise_kind, sigma, scale, b, seed, out):
     """Mask and corrupt a ground-truth matrix."""
     theta = matrix_from_obj(load_json(theta_file))
     used = NOISE_KINDS[noise_kind][1]
-    given = {"sigma": sigma, "scale": scale, "b": b}
-    stray = [f"--{key}" for key, v in given.items() if v is not None and key not in used]
+    given = {key: v for key, v in {"sigma": sigma, "scale": scale, "b": b}.items() if v is not None}
+    stray = [f"--{key}" for key in given if key not in used]
     if stray:
         raise ParameterError(f"--noise {noise_kind} does not use {', '.join(stray)}")
     # --sigma and --scale default to 0; --b has none, so a kind that needs it names it
-    values = {"sigma": 0.0 if sigma is None else sigma, "scale": 0.0 if scale is None else scale,
-              "b": b}
-    kind = NoiseKind.from_obj({"kind": noise_kind, **{key: values[key] for key in used}})
+    values = {"sigma": 0.0, "scale": 0.0, **given}
+    kind = NoiseKind.from_obj({"kind": noise_kind, **{key: values[key] for key in used if key in values}})
     n, m = theta.shape
     mask = sample_mask(n, m, p, seed)
     noise = sample_noise(kind, n, m, seed)

@@ -9,8 +9,10 @@ Everything is immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import functools
+import inspect
 import json
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -67,6 +69,46 @@ def _check_range(name: str, value, lo=-np.inf, hi=np.inf, *, open_lo: bool = Fal
             bound = ("positive" if lo == 0 else f"> {lo}") if open_lo else f">= {lo}"
             rule = f"be {bound} and finite"
         raise ParameterError(f"{name} must {rule}, got {value}")
+
+
+# each declared type: the JSON values that it takes, and their name
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+               bool: (bool, "true or false"), str: (str, "a string"), tuple: (list, "a list")}
+
+
+def _typed(name: str, value, tp):
+    """The JSON value as the declared type tp (int, float, bool, str, tuple[X, ...]
+    or X | None), or a TypeError naming it. A bool is never a number, a float
+    is any number and a tuple a list; ranges are _check_range's."""
+    if type(None) in typing.get_args(tp):    # X | None
+        if value is None:
+            return None
+        tp = typing.get_args(tp)[0]
+    base = typing.get_origin(tp) or tp       # tuple for tuple[X, ...]
+    if isinstance(value, bool) != (tp is bool) or not isinstance(value, _JSON_TYPES[base][0]):
+        raise TypeError(f"{name} must be {_JSON_TYPES[base][1]}, got {value!r}")
+    if base is tuple:
+        return tuple(_typed(f"{name}[{i}]", v, typing.get_args(tp)[0]) for i, v in enumerate(value))
+    return float(value) if tp is float else value
+
+
+def _from_obj(ctor, obj, what: str, keys=(), renamed=None, **read):
+    """ctor called on the JSON object obj, whose keys are ctor's parameters (a
+    dataclass's fields; renamed maps a parameter to its key where they differ)
+    and keys, which the caller reads itself. Each value is read as its
+    parameter's declared type (_typed), or by read[parameter]; an absent key
+    keeps its parameter's default, and one without a default is required."""
+    params = inspect.signature(ctor, eval_str=True).parameters
+    names = {(renamed or {}).get(name, name): name for name in params}   # key -> parameter
+    _known(obj, (*names, *keys), what)
+    args = {}
+    for key, name in names.items():
+        if key in obj:
+            value = obj[key]
+            args[name] = read[name](value) if name in read else _typed(key, value, params[name].annotation)
+        elif params[name].default is inspect.Parameter.empty:
+            _field(obj, key, what)
+    return ctor(**args)
 
 
 def _freeze(a, dtype=float) -> np.ndarray:
@@ -451,7 +493,7 @@ _MATRIX_KEYS = ("rows", "cols", "data")
 @_loader("matrix")
 def matrix_from_obj(obj: dict) -> np.ndarray:
     _known(obj, _MATRIX_KEYS, "matrix")
-    rows, cols = int(_field(obj, "rows", "matrix")), int(_field(obj, "cols", "matrix"))
+    rows, cols = (_typed(key, _field(obj, key, "matrix"), int) for key in ("rows", "cols"))
     data = np.asarray(_field(obj, "data", "matrix"), dtype=float)
     if data.size != rows * cols:
         raise ShapeError(f"matrix data has {data.size} entries, expected {rows * cols}")
@@ -459,23 +501,15 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
 
 
 def observation_to_obj(obs: Observation) -> dict:
-    out = matrix_to_obj(obs.y)
-    out["mask"] = [int(v) for v in obs.mask.ravel()]
-    out["p"] = float(obs.p)
-    out["sigma"] = float(obs.sigma)
-    out["b"] = None if obs.b is None else float(obs.b)
-    return out
+    return {**matrix_to_obj(obs.y), "mask": [int(v) for v in obs.mask.ravel()],
+            "p": float(obs.p), "sigma": float(obs.sigma), "b": None if obs.b is None else float(obs.b)}
 
 
 @_loader("observation")
 def observation_from_obj(obj: dict) -> Observation:
-    _known(obj, (*_MATRIX_KEYS, "mask", "p", "sigma", "b"), "observation")
     y = matrix_from_obj({key: obj[key] for key in _MATRIX_KEYS if key in obj})
-    mask = np.asarray(_field(obj, "mask", "observation"), dtype=float).reshape(y.shape)
-    b = obj.get("b")
-    return Observation(y=y, mask=mask, p=float(_field(obj, "p", "observation")),
-                       sigma=float(obj.get("sigma", 0.0)),
-                       b=None if b is None else float(b))
+    return _from_obj(functools.partial(Observation, y), obj, "observation", _MATRIX_KEYS,
+                     mask=lambda mask: np.asarray(mask, dtype=float).reshape(y.shape))
 
 
 def factorization_to_obj(f: Factorization) -> dict:
@@ -483,9 +517,8 @@ def factorization_to_obj(f: Factorization) -> dict:
 
 
 def factorization_from_obj(obj: dict) -> Factorization:
-    _known(obj, ("x", "b", "z"), "factorization")
-    x, b, z = (matrix_from_obj(_field(obj, key, "factorization")) for key in ("x", "b", "z"))
-    return Factorization(x=x, b=b, z=z)
+    return _from_obj(Factorization, obj, "factorization",
+                     x=matrix_from_obj, b=matrix_from_obj, z=matrix_from_obj)
 
 
 def _alphabet_to_obj(a: Alphabet) -> dict:
@@ -495,14 +528,14 @@ def _alphabet_to_obj(a: Alphabet) -> dict:
 
 
 def _alphabet_from_obj(obj: dict) -> Alphabet:
-    kind = _field(obj, "kind", "alphabet")
-    if kind == "finite":
-        _known(obj, ("kind", "values"), "finite alphabet")
-        return Alphabet(kind="finite", values=tuple(_field(obj, "values", "alphabet")))
-    if kind == "interval":
-        _known(obj, ("kind", "lo", "hi"), "interval alphabet")
-        return Alphabet.interval(_field(obj, "lo", "alphabet"), _field(obj, "hi", "alphabet"))
-    raise ParameterError(f"unknown alphabet kind {kind!r}")
+    """The JSON alphabet: its "kind" and the arguments of that kind's constructor."""
+    def finite(values: tuple[float, ...]) -> Alphabet:     # JSON gives them strictly increasing
+        return Alphabet("finite", values)
+    ctors = {"finite": finite, "interval": Alphabet.interval}
+    kind = _typed("kind", _field(obj, "kind", "alphabet"), str)
+    if kind not in ctors:
+        raise ParameterError(f"unknown alphabet kind {kind!r}")
+    return _from_obj(ctors[kind], obj, f"{kind} alphabet", ("kind",))
 
 
 def spec_to_obj(spec: StructureSpec) -> dict:
@@ -518,19 +551,8 @@ def spec_to_obj(spec: StructureSpec) -> dict:
 
 @_loader("spec")
 def spec_from_obj(obj: dict) -> StructureSpec:
-    _known(obj, [f.name for f in fields(StructureSpec)], "spec")
-
-    def req(key):
-        return _field(obj, key, "spec")
-
-    return StructureSpec(
-        n=int(req("n")), m=int(req("m")), k_n=int(req("k_n")), k_m=int(req("k_m")),
-        s_n=int(req("s_n")), s_m=int(req("s_m")),
-        alphabet_n=_alphabet_from_obj(req("alphabet_n")),
-        alphabet_m=_alphabet_from_obj(req("alphabet_m")),
-        b_max=float(obj.get("b_max", 1.0)), theta_mx=float(obj.get("theta_mx", 1.0)),
-        bounded=bool(obj.get("bounded", False)),
-    )
+    return _from_obj(StructureSpec, obj, "spec",
+                     alphabet_n=_alphabet_from_obj, alphabet_m=_alphabet_from_obj)
 
 
 def dumps_canonical(obj) -> str:

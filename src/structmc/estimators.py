@@ -477,9 +477,7 @@ def _pinv_1x1(d: np.ndarray) -> np.ndarray:
 
 def _init_factor(rng, rows, k, s, alphabet, cand):
     """Random factor: rows drawn from the finite candidate table cand, or
-    random s-sparse interval rows when cand is None; the identity if s = 0."""
-    if s == 0:
-        return np.eye(rows)
+    random s-sparse interval rows when cand is None."""
     if cand is not None:
         return cand[rng.integers(0, len(cand), size=rows)]
     out = np.zeros((rows, k))
@@ -578,9 +576,11 @@ def _bcd(target, weights, spec: StructureSpec, cfg: SolverConfig, seed: int,
         rng = stream(seed, PURPOSE_SOLVER, *path, r_idx)
         if interval_side:
             xs, zs = [], []
-            for _ in range(pool):
-                xs.append(_init_factor(rng, spec.n, spec.k_n, spec.s_n, alph_x, cand_x))
-                zs.append(_init_factor(rng, spec.m, spec.k_m, spec.s_m, alph_z, cand_z))
+            for _ in range(pool):    # an identity side draws nothing
+                if spec.s_n:
+                    xs.append(_init_factor(rng, spec.n, spec.k_n, spec.s_n, alph_x, cand_x))
+                if spec.s_m:
+                    zs.append(_init_factor(rng, spec.m, spec.k_m, spec.s_m, alph_z, cand_z))
         else:
             # one integers call whose per-entry bounds give the per-draw
             # stream of _init_factor: rows_x indices into cand_x, then
@@ -761,6 +761,8 @@ def estimate(method: str, obs: Observation, spec: StructureSpec, cfg: SolverConf
     exact and bcd ignore it."""
     if method not in METHODS:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
+    if obs.shape != (spec.n, spec.m):
+        raise ShapeError(f"observation has shape {obs.shape} but the spec is {(spec.n, spec.m)}")
     if method == "exact":
         return exact_least_squares(obs, spec, cfg)
     if method == "bcd":

@@ -30,7 +30,9 @@ from .core import (
     StructureSpec,
     _check_p,
     _check_range,
+    _from_obj,
     _known,
+    _typed,
 )
 
 __all__ = [
@@ -113,17 +115,11 @@ class NoiseKind:
     @classmethod
     def from_obj(cls, obj) -> "NoiseKind":
         """Parse {"kind": <a key of NOISE_KINDS>, ...}; kind defaults to none,
-        every key the kind requires must be present and not null, and no
-        other key may be."""
+        and the other keys are the arguments of the kind's constructor."""
         kind = _known(obj, ("kind", "sigma", "scale", "b"), "noise").get("kind", "none")
-        if kind not in NOISE_KINDS:
+        if _typed("kind", kind, str) not in NOISE_KINDS:
             raise ParameterError(f"unknown noise kind {kind!r}")
-        variant, keys = NOISE_KINDS[kind]
-        _known(obj, ("kind", *keys), f"{kind} noise")
-        for key in keys:
-            if obj.get(key) is None:
-                raise ParameterError(f"{kind} noise needs {key!r}")
-        return getattr(cls, variant)(*(obj[key] for key in keys))
+        return _from_obj(getattr(cls, NOISE_KINDS[kind][0]), obj, f"{kind} noise", ("kind",))
 
     @classmethod
     def gaussian(cls, sigma: float) -> "NoiseKind":
@@ -194,7 +190,7 @@ class ModelFamily:
         if v not in _GENERATORS:
             raise ParameterError(f"unknown family {v!r}")
         if v == "generic":
-            if self.spec is None:
+            if not isinstance(self.spec, StructureSpec):
                 raise ParameterError("generic family needs a StructureSpec")
             return
         # a variant's parameters are those of its constructor; a row's weight s is at most k

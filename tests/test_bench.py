@@ -128,6 +128,13 @@ def test_adaptive_cells_follow_the_one_cell_rule(monkeypatch):
     assert bench.estimate_work(cfg_bench) == 5505534.0
 
 
+def test_generic_family_needs_a_spec_in_its_grid_cell():
+    # an integer cell used to die in the work projection with an AttributeError
+    with pytest.raises(ParameterError, match="generic family needs a StructureSpec"):
+        run_experiment(bench.bench_config_from_obj(
+            {"family": "generic", "grid": [[4]], "p": [1.0], "method": "bcd", "replicas": 1}))
+
+
 def test_budget_refusal_happens_before_any_work():
     cfg = sbm_config(budget=1.0)
     with pytest.raises(BudgetError):

@@ -7,6 +7,12 @@ hand `core._known`, kept when the dataclass field of that name holds floats).
 Each gets NaN, +inf and -inf on an otherwise valid invocation. Every case must
 exit 0 or 2: exit 2 prints one `error:` line, and exit 0 writes no non-finite
 number. A new flag or loader field is covered without editing this file.
+
+The same holds for the other declared types: every integer option gets 0 and
+-1, and every integer, boolean, string and float field of those loaders (and
+each element of a list field: grid cells, the p list, alphabet values) gets
+values at its edge and values of the wrong type. A value of the wrong type
+must exit 2 with an error that names the field.
 """
 
 import contextlib
@@ -45,9 +51,10 @@ def _bench_config(noise_kind):
             "solver": {"restarts": 1, "tol": 1e-9}, "replicas": 1, "seed": 0, "budget": 1e9}
 
 
-# valid invocations of each command with a float option; {spec}, {theta} and
-# {obs} name files written by the fixture
+# valid invocations of each command with a float or integer option; {spec},
+# {theta}, {obs}, {obs_spec} and {vectors} name files written by the fixture
 INVOCATIONS = {
+    "gen": [["--family", "sbm", "--args", "4,2"]],
     "observe": [["--theta", "{theta}", "--p", "0.8", "--noise", "truncated_gaussian",
                  "--sigma", "0.3", "--b", "0.5"],
                 ["--theta", "{theta}", "--p", "0.8", "--noise", "rademacher", "--scale", "0.2"],
@@ -56,7 +63,9 @@ INVOCATIONS = {
                  for method in ("svt", "adaptive")],
     "rates": [["--spec", "{spec}", "--sigma", "1.0", "--p", "0.5", "--epsilon0", "--u", "0.5"]],
     "packing": [["--kind", kind, "--spec", "{spec}", "--sigma", "1.0", "--p", "0.7",
-                 "--c0", "0.5", "--cap", "4"] for kind in ("tz", "tb")],
+                 "--c0", "0.5", "--cap", "4"] for kind in ("tz", "tb")]
+               + [["--kind", "code", "--k", "10", "--s", "2"],
+                  ["--kind", "embed", "--r", "8", "--vectors", "{vectors}"]],
 }
 # (loader, the command that consumes its file, valid objects)
 LOADERS = {
@@ -64,7 +73,7 @@ LOADERS = {
     "spec": (spec_from_obj, ["gen", "--family", "generic", "--spec", "{file}"],
              [dict(SPEC, bounded=False)]),
     "observation": (observation_from_obj, ["estimate", "--method", "svt", "--lambda", "1.0",
-                                           "--obs", "{file}", "--spec", "{spec}"],
+                                           "--obs", "{file}", "--spec", "{obs_spec}"],
                     [OBSERVATION]),
     "bench config": (bench_config_from_obj, ["bench", "--config", "{file}"],
                      [_bench_config(kind) for kind in NOISE_KINDS]),
@@ -128,8 +137,12 @@ def _loader_cases():
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("boundary")
-    paths = {name: root / f"{name}.json" for name in ("spec", "theta", "obs")}
+    paths = {name: root / f"{name}.json" for name in ("spec", "theta", "obs", "obs_spec",
+                                                      "vectors")}
     paths["spec"].write_text(json.dumps(SPEC))
+    # the class of OBSERVATION's 2 x 2 shape
+    paths["obs_spec"].write_text(json.dumps(dict(SPEC, n=2, m=2, k_n=2, k_m=2, s_n=1, s_m=1)))
+    paths["vectors"].write_text(json.dumps({"rows": 1, "cols": 3, "data": [1.0, 0.0, -1.0]}))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert main(["gen", "--family", "generic", "--spec", str(paths["spec"]),
@@ -144,6 +157,7 @@ def _reject_constant(name):
 
 
 def _run(capsys, argv):
+    """main's exit code and stderr, once both are as the module docstring asks."""
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -158,6 +172,7 @@ def _run(capsys, argv):
     else:
         # the bench CSV: no cell reads nan or inf
         assert not re.search(r"(?i)(^|,)-?(nan|inf)(,|$)", out, re.M), (argv, out)
+    return code, err
 
 
 def test_every_invocation_is_valid(files, capsys, tmp_path):
@@ -199,3 +214,89 @@ def test_loader_field_at_the_boundary(files, capsys, tmp_path, kind, i, path, va
     file = tmp_path / "input.json"
     file.write_text(json.dumps(obj))
     _run(capsys, [a.format(file=file, **files) for a in command])
+
+
+# ---------- integer options and the declared type of each loader field ---------- #
+
+def _int_option_cases():
+    for name, command in cli.commands.items():
+        for param in command.params:
+            if isinstance(param.type, click.types.IntParamType):
+                for i in range(len(INVOCATIONS[name])):
+                    for value in ("0", "-1"):
+                        yield pytest.param(name, i, param.opts[0], value,
+                                           id=f"{name}{i}{param.opts[0]}={value}")
+
+
+@pytest.mark.parametrize("command, i, flag, value", list(_int_option_cases()))
+def test_int_option_at_the_boundary(files, capsys, command, i, flag, value):
+    test_float_option_at_the_boundary(files, capsys, command, i, flag, value)
+
+
+CLASSES = (StructureSpec, Alphabet, NoiseKind, Observation, BenchConfig, SolverConfig)
+# the declared type of each field name, and the names whose declaration takes null
+TYPES = {f.name: f.type.removesuffix(" | None") for cls in CLASSES for f in fields(cls)}
+NULLABLE = {f.name for cls in CLASSES for f in fields(cls) if f.type.endswith(" | None")}
+# per declared type: values at its edge, which must exit 0 or 2, and values of
+# the wrong type, which must exit 2 naming the field
+EDGE = {"int": (0, -1), "float": (), "bool": (), "str": ()}
+WRONG = {"int": (2.5, "2", True, None), "float": ("0.5", True, None),
+         "bool": ("false", 0, None), "str": ([], 2.5)}
+
+
+def _typed_cases(tp, path, valid):
+    """(path, value, wrong type?) for the field at path declared tp. A list
+    field (a list in the valid object) gets a number, and its first element
+    the cases of that element's type; the matrix arrays (no field, or
+    np.ndarray) keep numpy's conversion and get none."""
+    if isinstance(valid, list) and tp not in (None, "np.ndarray"):
+        yield path, 2.5, True
+        first = valid[0]
+        yield from _typed_cases(type(first).__name__, path + (0,), first)
+    elif tp in EDGE:
+        for value in EDGE[tp]:
+            yield path, value, False
+        for value in WRONG[tp]:
+            yield path, value, value is not None or _field_label(path) not in NULLABLE
+
+
+def _loader_type_cases():
+    for kind, (load, _, objects) in LOADERS.items():
+        covered = set()
+        for i, obj in enumerate(objects):
+            seen = _loaded_keys(load, obj)
+
+            def walk(node, path):
+                what, keys = seen.get(id(node), (None, ()))
+                for key in keys:
+                    if (what, key) not in covered:
+                        covered.add((what, key))
+                        yield from _typed_cases(TYPES.get(key), path + (key,), node.get(key))
+                for key, child in node.items():
+                    if isinstance(child, dict):
+                        yield from walk(child, path + (key,))
+
+            for path, value, wrong in walk(obj, ()):
+                yield pytest.param(kind, i, path, value, wrong,
+                                   id=f"{kind}{i}:{'.'.join(map(str, path))}={json.dumps(value)}")
+
+
+def _field_label(path):
+    """The field's name as an error message gives it: the key, then any list indices."""
+    at = max(j for j, p in enumerate(path) if isinstance(p, str))
+    return path[at] + "".join(f"[{j}]" for j in path[at + 1:])
+
+
+@pytest.mark.parametrize("kind, i, path, value, wrong", list(_loader_type_cases()))
+def test_loader_field_type_at_the_boundary(files, capsys, tmp_path, kind, i, path, value, wrong):
+    _, command, objects = LOADERS[kind]
+    obj = json.loads(json.dumps(objects[i]))
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    file = tmp_path / "input.json"
+    file.write_text(json.dumps(obj))
+    code, err = _run(capsys, [a.format(file=file, **files) for a in command])
+    if wrong:
+        assert code == 2 and f"{_field_label(path)} must be " in err, (path, value, err)

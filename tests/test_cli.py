@@ -90,6 +90,18 @@ def pipeline_files(tmp_path, capsys):
     return theta, spec, obs
 
 
+@pytest.mark.parametrize("method", ["exact", "bcd", "svt", "adaptive"])
+def test_estimate_refuses_an_observation_of_another_shape(pipeline_files, tmp_path, capsys,
+                                                          method):
+    # bcd and adaptive used to die in a matmul ValueError (exit 1); svt ignored the spec
+    _, _, obs = pipeline_files                   # 6 x 6
+    spec = write_spec(tmp_path, n=5, m=6)
+    assert main(["estimate", "--method", method, "--obs", str(obs), "--spec", spec,
+                 "--lambda", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "(6, 6)" in err and "(5, 6)" in err
+
+
 def test_observe_payload_shape(pipeline_files):
     theta, spec, obs = pipeline_files
     payload = json.loads(obs.read_text())
