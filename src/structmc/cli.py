@@ -20,6 +20,7 @@ from .bench import (BudgetError, _family_for, bench_config_from_obj, rows_to_csv
 from .core import (
     ParameterError,
     ShapeError,
+    _to_obj,
     assemble,
     dumps_canonical,
     factorization_to_obj,
@@ -151,15 +152,7 @@ def estimate_cmd(method, obs_file, spec_file, lam, restarts, seed, out):
     obs = observation_from_obj(load_json(obs_file))
     spec = spec_from_obj(load_json(spec_file))
     res = estimate(method, obs, spec, SolverConfig(restarts=restarts), seed, lam)
-    payload = {
-        "theta_hat": matrix_to_obj(res.theta_hat),
-        "objective": res.objective,
-        "selected_s": list(res.selected_s) if res.selected_s is not None else None,
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "restarts_used": res.restarts_used,
-    }
-    _emit(dumps_canonical(payload), out)
+    _emit(dumps_canonical(_to_obj(res, skip=("factorization",))), out)
 
 
 @cli.command("rates")
@@ -178,15 +171,7 @@ def rates_cmd(spec_file, family_name, args_csv, sigma, p, penalty_s, epsilon0, u
     if args_csv and not family_name:
         raise ParameterError("--args needs --family")
     spec = spec_from_obj(load_json(spec_file))
-    report = rate_components(spec, sigma=sigma, p=p)
-    payload = {
-        "components": {
-            "r_x": report.r_x, "r_b": report.r_b, "r_z": report.r_z,
-            "total": report.total,
-            "frobenius_lower": report.frobenius_lower,
-            "spectral_lower": report.spectral_lower,
-        }
-    }
+    payload = {"components": _to_obj(rate_components(spec, sigma=sigma, p=p))}
     if family_name:
         fam = _build_family(family_name, args_csv, None)
         payload["family_rate"] = family_rate(fam)
@@ -199,11 +184,7 @@ def rates_cmd(spec_file, family_name, args_csv, sigma, p, penalty_s, epsilon0, u
     if epsilon0:
         eps0 = critical_radius(spec.n * spec.m, covering_min_bound(spec, u))
         cov = covering_bounds(spec, u, eps0)
-        payload["covering"] = {
-            "r1": cov.r1, "r2": cov.r2, "r3": cov.r3, "r4": cov.r4,
-            "epsilon": cov.epsilon, "u": cov.u, "epsilon0": eps0,
-            "min_bound": cov.min_bound,
-        }
+        payload["covering"] = {**_to_obj(cov), "epsilon0": eps0, "min_bound": cov.min_bound}
     _emit(dumps_canonical(payload), out)
 
 
@@ -224,13 +205,7 @@ def rates_cmd(spec_file, family_name, args_csv, sigma, p, penalty_s, epsilon0, u
 def packing_cmd(kind, spec_file, sigma, p, c0, cap, k, s, r, vectors_file, max_resamples, seed, out):
     """Build packings, sign embeddings, or certified hypothesis sets."""
     if kind == "code":
-        pk = sparse_binary_packing(k, s, seed=seed)
-        payload = {
-            "kind": "code", "k": pk.k, "s": pk.s,
-            "constants": list(pk.constants),
-            "codewords": matrix_to_obj(pk.codewords),
-            "seed": seed,
-        }
+        payload = {**_to_obj(sparse_binary_packing(k, s, seed=seed)), "kind": "code", "seed": seed}
     elif kind == "embed":
         if r is None or not vectors_file:
             raise ParameterError("--kind embed needs --r and --vectors")
@@ -243,12 +218,7 @@ def packing_cmd(kind, spec_file, sigma, p, c0, cap, k, s, r, vectors_file, max_r
         spec = spec_from_obj(load_json(spec_file))
         build = build_t_z if kind == "tz" else build_t_b
         hs = build(spec, sigma, p, c0, seed=seed, cap=cap)
-        payload = {
-            "kind": hs.kind, "delta": hs.delta,
-            "min_sq_distance": hs.min_sq_distance, "max_kl": hs.max_kl,
-            "sigma": sigma, "p": p, "c0": c0, "seed": seed,
-            "thetas": [matrix_to_obj(t) for t in hs.thetas],
-        }
+        payload = {**_to_obj(hs), "sigma": sigma, "p": p, "c0": c0, "seed": seed}
     _emit(dumps_canonical(payload), out)
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import functools
 import inspect
 import json
+import numbers
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -71,13 +72,15 @@ def _check_range(name: str, value, lo=-np.inf, hi=np.inf, *, open_lo: bool = Fal
         raise ParameterError(f"{name} must {rule}, got {value}")
 
 
-# each declared type: the JSON values that it takes, and their name
-_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
-               bool: (bool, "true or false"), str: (str, "a string"), tuple: (list, "a list")}
+# each declared type: the values that it takes (JSON's, and numpy's scalars on
+# the write side), and their name
+_BOOLS = (bool, np.bool_)
+_JSON_TYPES = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+               bool: (_BOOLS, "true or false"), str: (str, "a string"), tuple: (list, "a list")}
 
 
 def _typed(name: str, value, tp):
-    """The JSON value as the declared type tp (int, float, bool, str, tuple[X, ...]
+    """The value as the declared type tp (int, float, bool, str, tuple[X, ...]
     or X | None), or a TypeError naming it. A bool is never a number, a float
     is any number and a tuple a list; ranges are _check_range's."""
     if type(None) in typing.get_args(tp):    # X | None
@@ -85,11 +88,11 @@ def _typed(name: str, value, tp):
             return None
         tp = typing.get_args(tp)[0]
     base = typing.get_origin(tp) or tp       # tuple for tuple[X, ...]
-    if isinstance(value, bool) != (tp is bool) or not isinstance(value, _JSON_TYPES[base][0]):
+    if isinstance(value, _BOOLS) != (tp is bool) or not isinstance(value, _JSON_TYPES[base][0]):
         raise TypeError(f"{name} must be {_JSON_TYPES[base][1]}, got {value!r}")
     if base is tuple:
         return tuple(_typed(f"{name}[{i}]", v, typing.get_args(tp)[0]) for i, v in enumerate(value))
-    return float(value) if tp is float else value
+    return base(value)
 
 
 def _from_obj(ctor, obj, what: str, keys=(), renamed=None, **read):
@@ -109,6 +112,33 @@ def _from_obj(ctor, obj, what: str, keys=(), renamed=None, **read):
         elif params[name].default is inspect.Parameter.empty:
             _field(obj, key, what)
     return ctor(**args)
+
+
+def _to_obj(value, skip=()) -> dict:
+    """The JSON object of the dataclass value: its constructor's parameters (its
+    fields) by name, but those in skip, each written as its declared type
+    (_to_json). An Alphabet is its kind and the parameters of that kind's
+    constructor, the keys _alphabet_from_obj reads."""
+    ctor, head = type(value), {}
+    if isinstance(value, Alphabet):
+        ctor, head = _ALPHABETS[value.kind], {"kind": value.kind}
+    params = inspect.signature(ctor, eval_str=True).parameters
+    return {**head, **{name: _to_json(name, getattr(value, name), param.annotation)
+                       for name, param in params.items() if name not in skip}}
+
+
+def _to_json(name: str, value, tp):
+    """value as JSON under its declared type tp: a dataclass by _to_obj, a 2-d
+    array by matrix_to_obj, a tuple as the list of its elements so written,
+    and a scalar by _typed, so the type rule is the reader's."""
+    if is_dataclass(value):
+        return _to_obj(value)
+    if isinstance(value, np.ndarray):
+        return matrix_to_obj(value)
+    if isinstance(value, tuple):
+        tp = typing.get_args(tp)[0] if type(None) in typing.get_args(tp) else tp    # X | None
+        return [_to_json(f"{name}[{i}]", v, typing.get_args(tp)[0]) for i, v in enumerate(value)]
+    return _typed(name, value, tp)
 
 
 def _freeze(a, dtype=float) -> np.ndarray:
@@ -165,6 +195,14 @@ class Alphabet:
         else:
             hit = (self.lo - tol <= v) & (v <= self.hi + tol)
         return bool(hit) if hit.ndim == 0 else hit
+
+
+def _finite(values: tuple[float, ...]) -> Alphabet:     # JSON gives them strictly increasing
+    return Alphabet("finite", values)
+
+
+# each alphabet kind's constructor, whose parameters are its JSON keys besides "kind"
+_ALPHABETS = {"finite": _finite, "interval": Alphabet.interval}
 
 
 # ---------- problem geometry ---------- #
@@ -441,10 +479,9 @@ def norms(a: np.ndarray) -> Norms:
 
 
 # ---------- JSON formats ---------- #
-# Dense matrix: {"rows": n, "cols": m, "data": [row-major reals]}.
-# Observation adds {"mask": [row-major 0/1], "p": real, "sigma": real, "b": real-or-null}.
-# Factorization: {"x": matrix, "b": matrix, "z": matrix}.
-# Spec mirrors StructureSpec with alphabets as tagged objects.
+# Dense matrix: {"rows": n, "cols": m, "data": [row-major reals]}. An observation is
+# y's matrix keys, "mask" (row-major 0/1) and its other fields. Any other object is its
+# dataclass's fields (_to_obj writes them, _from_obj reads them).
 
 def matrix_to_obj(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=float)
@@ -501,8 +538,8 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
 
 
 def observation_to_obj(obs: Observation) -> dict:
-    return {**matrix_to_obj(obs.y), "mask": [int(v) for v in obs.mask.ravel()],
-            "p": float(obs.p), "sigma": float(obs.sigma), "b": None if obs.b is None else float(obs.b)}
+    return {**matrix_to_obj(obs.y), **_to_obj(obs, skip=("y", "mask")),
+            "mask": [int(v) for v in obs.mask.ravel()]}
 
 
 @_loader("observation")
@@ -512,41 +549,20 @@ def observation_from_obj(obj: dict) -> Observation:
                      mask=lambda mask: np.asarray(mask, dtype=float).reshape(y.shape))
 
 
-def factorization_to_obj(f: Factorization) -> dict:
-    return {"x": matrix_to_obj(f.x), "b": matrix_to_obj(f.b), "z": matrix_to_obj(f.z)}
-
-
 def factorization_from_obj(obj: dict) -> Factorization:
     return _from_obj(Factorization, obj, "factorization",
                      x=matrix_from_obj, b=matrix_from_obj, z=matrix_from_obj)
 
 
-def _alphabet_to_obj(a: Alphabet) -> dict:
-    if a.kind == "finite":
-        return {"kind": "finite", "values": [float(v) for v in a.values]}
-    return {"kind": "interval", "lo": float(a.lo), "hi": float(a.hi)}
-
-
 def _alphabet_from_obj(obj: dict) -> Alphabet:
     """The JSON alphabet: its "kind" and the arguments of that kind's constructor."""
-    def finite(values: tuple[float, ...]) -> Alphabet:     # JSON gives them strictly increasing
-        return Alphabet("finite", values)
-    ctors = {"finite": finite, "interval": Alphabet.interval}
     kind = _typed("kind", _field(obj, "kind", "alphabet"), str)
-    if kind not in ctors:
+    if kind not in _ALPHABETS:
         raise ParameterError(f"unknown alphabet kind {kind!r}")
-    return _from_obj(ctors[kind], obj, f"{kind} alphabet", ("kind",))
+    return _from_obj(_ALPHABETS[kind], obj, f"{kind} alphabet", ("kind",))
 
 
-def spec_to_obj(spec: StructureSpec) -> dict:
-    return {
-        "n": spec.n, "m": spec.m, "k_n": spec.k_n, "k_m": spec.k_m,
-        "s_n": spec.s_n, "s_m": spec.s_m,
-        "alphabet_n": _alphabet_to_obj(spec.alphabet_n),
-        "alphabet_m": _alphabet_to_obj(spec.alphabet_m),
-        "b_max": float(spec.b_max), "theta_mx": float(spec.theta_mx),
-        "bounded": bool(spec.bounded),
-    }
+spec_to_obj = factorization_to_obj = _to_obj    # a StructureSpec, a Factorization
 
 
 @_loader("spec")

@@ -263,6 +263,8 @@ def sign_embedding(r: int, vectors, seed: int = 0, max_resamples: int = 100) -> 
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or len(vectors) < 1:
         raise ParameterError("vectors must be a non-empty 2-d collection")
+    if not np.all(np.isfinite(vectors)):
+        raise ParameterError(f"vectors must be finite, got {vectors[~np.isfinite(vectors)][0]}")
     n_vec, k = vectors.shape
     if n_vec > 1 and r <= 96 * math.log(n_vec):
         warnings.warn(

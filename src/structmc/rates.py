@@ -65,7 +65,6 @@ class CoveringReport:
     r4: float
     epsilon: float
     u: float
-    epsilon0: float | None = None
 
     @property
     def min_bound(self) -> float:
@@ -90,8 +89,8 @@ def rate_components(spec: StructureSpec, sigma: float | None = None, p: float | 
     """
     n, m = spec.n, spec.m
     r_n, r_m = spec.r_n, spec.r_m
-    r_x = 0.0 if spec.s_n == 0 else min(n * r_m, _sparse_term(n, spec.s_n, spec.k_n))
-    r_z = 0.0 if spec.s_m == 0 else min(m * r_n, _sparse_term(m, spec.s_m, spec.k_m))
+    r_x = 0.0 if spec.s_n == 0 else float(min(n * r_m, _sparse_term(n, spec.s_n, spec.k_n)))
+    r_z = 0.0 if spec.s_m == 0 else float(min(m * r_n, _sparse_term(m, spec.s_m, spec.k_m)))
     r_b = float(r_n * r_m)
     total = r_x + r_b + r_z
     frob_low = spec_low = 0.0

@@ -261,6 +261,9 @@ def observe(theta_star: np.ndarray, mask: np.ndarray, noise: np.ndarray, p: floa
         raise ShapeError(
             f"shapes differ: theta {theta_star.shape}, mask {mask.shape}, noise {noise.shape}"
         )
+    for name, a in (("theta_star", theta_star), ("noise", noise)):
+        if not np.all(np.isfinite(a)):
+            raise ParameterError(f"{name} must be finite, got {a[~np.isfinite(a)][0]}")
     y = mask * (theta_star + noise)
     return Observation(y=y, mask=mask, p=p, sigma=sigma, b=b)
 

@@ -164,6 +164,14 @@ def test_observe_non_finite_sigma_names_sigma(pipeline_files, capsys):
     assert capsys.readouterr().err.startswith("error: sigma must be ")
 
 
+def test_observe_non_finite_theta_names_theta(tmp_path, capsys):
+    # a NaN at an unobserved entry was blamed on the mask (0 * NaN is NaN)
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({"rows": 2, "cols": 2, "data": [float("nan"), 0.0, 1.0, 0.0]}))
+    assert main(["observe", "--theta", str(theta), "--p", "0.5", "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: theta_star must be finite")
+
+
 def test_gen_nan_interval_bound_is_a_config_error(tmp_path, capsys):
     # json reads NaN; the draw used to die with an OverflowError traceback
     spec = write_spec(tmp_path, alphabet_n={"kind": "interval", "lo": float("nan"), "hi": 1.0})
@@ -210,6 +218,16 @@ def test_rates_components_and_penalty(tmp_path, capsys):
     assert payload["components"]["r_b"] == 4.0
     assert payload["penalty"]["value"] > 0
     assert payload["penalty"]["s_n"] == 1
+
+
+def test_rates_components_are_written_as_floats(tmp_path, capsys):
+    # r_x = min(n r_m, n s ln(e k / s)) took the int n r_m and was written as 12
+    spec = write_spec(tmp_path, n=6, m=4, k_n=4, s_n=2)
+    code, out = run(capsys, "rates", "--spec", spec)
+    assert code == 0
+    components = json.loads(out)["components"]
+    assert components["r_x"] == 12.0
+    assert all(type(v) is float for v in components.values())
 
 
 @pytest.mark.parametrize("pair", ["1", "1,2,3"])
@@ -274,6 +292,15 @@ def test_packing_code_payload(capsys):
     assert words["cols"] == 10
     assert words["rows"] >= 2
     assert payload["k"] == 10 and payload["s"] == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_packing_embed_refuses_non_finite_vectors(tmp_path, capsys, bad):
+    # NaN exited 0 with a vacuous check; an infinity exited 3 after 100 draws
+    vectors = tmp_path / "vectors.json"
+    vectors.write_text(json.dumps({"rows": 2, "cols": 2, "data": [bad, 0.0, 1.0, 0.0]}))
+    assert main(["packing", "--kind", "embed", "--r", "200", "--vectors", str(vectors)]) == 2
+    assert capsys.readouterr().err.startswith("error: vectors must be finite")
 
 
 def test_packing_tz_payload(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Class descriptions, factorizations, assembly, and membership checks."""
 
 import copy
+import dataclasses
 import importlib
+import json
 import pkgutil
 
 import numpy as np
@@ -23,6 +25,7 @@ from structmc import (
     validate_membership,
 )
 from structmc.core import (
+    dumps_canonical,
     factorization_from_obj,
     factorization_to_obj,
     matrix_from_obj,
@@ -254,6 +257,67 @@ def test_loaders_name_a_missing_key(loader, path):
     load(obj)  # the complete object loads
     with pytest.raises(ParameterError, match=repr(path[-1])):
         load(_drop(obj, path))
+
+
+_Y = np.array([[1.5, 0.0, -2.0], [0.0, 0.25, 3.0]])
+_MASK = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+ROUND_TRIPS = {
+    "spec_finite_unbounded": (StructureSpec(
+        n=5, m=4, k_n=3, k_m=2, s_n=1, s_m=2, alphabet_n=Alphabet.finite((-1.0, 0.5, 2.0)),
+        alphabet_m=BINARY, b_max=2.5), spec_to_obj, spec_from_obj),
+    "spec_interval_bounded": (StructureSpec(
+        n=4, m=6, k_n=2, k_m=3, s_n=2, s_m=1, alphabet_n=Alphabet.interval(-0.5, 1.0),
+        alphabet_m=Alphabet("interval", lo=-1, hi=1), b_max=2, theta_mx=3, bounded=True),
+        spec_to_obj, spec_from_obj),
+    "spec_identity_side": (StructureSpec(
+        n=3, m=4, k_n=3, k_m=2, s_n=0, s_m=1, alphabet_n=BINARY,
+        alphabet_m=Alphabet.interval(0, 1)), spec_to_obj, spec_from_obj),
+    "factorization": (Factorization(x=np.eye(2), b=np.array([[0.5, -1.0, 2.0], [1e-3, 0.0, 7.0]]),
+                                    z=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])),
+                      factorization_to_obj, factorization_from_obj),
+    "observation_b_null": (Observation(y=_Y, mask=_MASK, p=0.5, sigma=0.3),
+                           observation_to_obj, observation_from_obj),
+    "observation_b_set": (Observation(y=_Y, mask=_MASK, p=1, sigma=0, b=2),
+                          observation_to_obj, observation_from_obj),
+    # numpy scalars (say, from a numpy comparison or a float32 array) are written as their type
+    "spec_numpy_scalars": (StructureSpec(
+        n=np.int64(4), m=6, k_n=2, k_m=3, s_n=2, s_m=1, alphabet_n=Alphabet.finite((-1.0, 2.0)),
+        alphabet_m=Alphabet("interval", lo=np.float32(0), hi=1), b_max=np.float32(2),
+        theta_mx=np.float64(3), bounded=np.bool_(True)), spec_to_obj, spec_from_obj),
+    "observation_numpy_scalars": (Observation(y=_Y, mask=_MASK, p=np.float32(0.5), sigma=0.3,
+                                              b=np.int64(2)), observation_to_obj, observation_from_obj),
+}
+
+
+def _same(a, b) -> bool:
+    """Field-wise equality of two dataclass values, arrays compared by value."""
+    return type(a) is type(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)))
+
+
+@pytest.mark.parametrize("case", ROUND_TRIPS)
+def test_writers_and_readers_round_trip(case):
+    value, write, read = ROUND_TRIPS[case]
+    text = dumps_canonical(write(value))
+    back = read(json.loads(text))
+    assert _same(back, value)
+    assert dumps_canonical(write(back)) == text
+
+
+def test_writers_give_float_fields_floats():
+    # ints held in float fields are written as the declared float
+    spec_text = dumps_canonical(spec_to_obj(ROUND_TRIPS["spec_interval_bounded"][0]))
+    for line in ('"b_max": 2.0', '"theta_mx": 3.0', '"lo": -1.0', '"hi": 1.0'):
+        assert line in spec_text
+    assert '"lo": 0.0' in dumps_canonical(spec_to_obj(ROUND_TRIPS["spec_identity_side"][0]))
+    obs = observation_to_obj(ROUND_TRIPS["observation_b_set"][0])
+    assert [(obs[key], type(obs[key])) for key in ("p", "sigma", "b")] == [
+        (1.0, float), (0.0, float), (2.0, float)]
+    assert type(obs["mask"][0]) is int
+    spec = spec_to_obj(ROUND_TRIPS["spec_numpy_scalars"][0])
+    assert [(spec[key], type(spec[key])) for key in ("n", "b_max", "bounded")] == [
+        (4, int), (2.0, float), (True, bool)]
 
 
 @pytest.mark.parametrize("module", ["structmc"] + [

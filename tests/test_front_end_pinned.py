@@ -4,10 +4,13 @@ Each case runs one `structmc` subcommand in-process and compares the sha256
 of the bytes it writes with a value recorded from a reference build. The
 cases cover `observe` under every noise kind, `bench` CSVs (timing `zero`)
 for each estimator and every noise kind, `estimate` for bcd / svt /
-adaptive, `packing --kind tz|tb` on two seeds, and `gen` (factorization and
-spec) for every family, the generic one unbounded and bounded over finite and
-interval alphabets. A refactor of the CLI, the bench harness, the generators
-or the hypothesis builders must leave every hash as is.
+adaptive / exact, `packing --kind tz|tb` on two seeds, `packing --kind
+code|embed`, `rates` with the lower-bound values and a penalty, with a
+family's closed-form rate and with the covering bounds and critical radius
+of a bounded class, and `gen` (factorization and spec) for every family, the
+generic one unbounded and bounded over finite and interval alphabets. A
+refactor of the CLI, the JSON writers, the bench harness, the generators or
+the hypothesis builders must leave every hash as is.
 """
 
 import hashlib
@@ -87,6 +90,8 @@ ESTIMATES = {
     "svt": ["--method", "svt", "--lambda", "1.5"],
     "adaptive": ["--method", "adaptive", "--lambda", "0.02", "--restarts", "1", "--seed", "2"],
 }
+# the exact search needs a class small enough to enumerate
+EXACT = ["--method", "exact", "--obs", "obs_small.json", "--spec", "spec_small.json"]
 
 PACKINGS = {
     f"{kind}_seed{seed}": ["--kind", kind, "--spec", spec, "--sigma", "1.0", "--p", "0.7",
@@ -96,6 +101,17 @@ PACKINGS = {
 }
 PACKINGS["tb_small_seed0"] = ["--kind", "tb", "--spec", "tb_small.json", "--sigma", "0.5",
                               "--p", "0.9", "--seed", "0"]
+PACKINGS["code"] = ["--kind", "code", "--k", "12", "--s", "3", "--seed", "1"]
+PACKINGS["embed"] = ["--kind", "embed", "--r", "120", "--vectors", "vectors.json", "--seed", "2"]
+
+VECTORS = {"rows": 3, "cols": 4, "data": [1.0, 0.0, -2.0, 0.5, 0.0, 1.5, 1.0, -1.0,
+                                          2.0, 2.0, 0.0, 0.25]}
+
+RATES = {
+    "lower_penalty": ["--spec", "spec.json", "--sigma", "0.7", "--p", "0.6", "--penalty", "1,2"],
+    "family_sbm": ["--spec", "spec.json", "--family", "sbm", "--args", "40,3"],
+    "epsilon0": ["--spec", "tz.json", "--epsilon0", "--u", "0.5"],
+}
 
 PINNED = {
     "observe_none": "6bd68e698053f168cf42d4fef686cf36517e3a3e8ab78233a82d4b898e329226",
@@ -111,11 +127,17 @@ PINNED = {
     "estimate_bcd": "3ad6ada3da7b63ff18d8011696bf773129fb756f683d3acf1c3973f7b4cffbea",
     "estimate_svt": "09bd161ed1f6a630f3110317fb8252981fc2145550611949466f1fffdd999c8c",
     "estimate_adaptive": "8fe3f9d225e683e92ea65cc1dc0c306261032607856452c5c04f0932c653c7c5",
+    "estimate_exact": "300d846079eca6176911028162c66d7e00cd53c036e6f6a633595d307583cab9",
     "packing_tz_seed0": "3efc2077ef5f0de568aed2d4da2ca66ac5acf4f50a554f1219ecd144598f212e",
     "packing_tz_seed4": "8bcece184220ff06794033a183feefcc8285aa44be6873c29ae825101f97b05f",
     "packing_tb_seed0": "7058a4f723bc5c44a6f0d4b0913806c86364e35a3fea2b5673e46c996d49b01e",
     "packing_tb_seed4": "4ac8d71a098cf19b084ecc912c57e1103fe09c64af185533ea6b8bcf735eb4c4",
     "packing_tb_small_seed0": "0bb944c330789495b8235c1a00b57d611895ae8f58414f732baa5a892bca4456",
+    "packing_code": "98d07743702d2aaffd98cc9ff79fb1fcaaf57bed8700522b7d4ff707c4af95fb",
+    "packing_embed": "cef4136cc4a53faa1c44fe05286aa8517822205897e8dd61ef6370979698b319",
+    "rates_lower_penalty": "6974aa7ecd0e5bc21eaef5ac16b7c7d2986d63d6f29c154a97497597bc47e751",
+    "rates_family_sbm": "192cdd6bff95e187e53d79f78e5726a15f1e7c8306fb7f22703a047a95e8a3cc",
+    "rates_epsilon0": "cd913b911b4c20c6d3d4e9e375763251ebefc7ebe812da8eb761bc7efd56c44f",
     "gen_mixture": "8aa96b0f62d3f23f2804c54d627a7b5c13fc48b4dfe57ddbaeeb51d8219a526e",
     "gen_dictionary": "29afd56a8ad6c278b93eb58180cdf5738e2057c4538f72ba86acd084dfa3e492",
     "gen_sbm": "32f96c5039d8a0a0c7e2edc62294d066233b531a3733b2e8b03337a02fca2454",
@@ -143,6 +165,13 @@ def workdir(tmp_path_factory):
     (d / "tz.json").write_text(json.dumps(TZ_SPEC))
     (d / "tb.json").write_text(json.dumps(TB_SPEC))
     (d / "tb_small.json").write_text(json.dumps(TB_SMALL_SPEC))
+    (d / "vectors.json").write_text(json.dumps(VECTORS))
+    assert main(["gen", "--family", "sbm", "--args", "4,2", "--seed", "1",
+                 "--out-theta", str(d / "theta_small.json"),
+                 "--out-spec", str(d / "spec_small.json")]) == 0
+    assert main(["observe", "--theta", str(d / "theta_small.json"), "--p", "0.8",
+                 "--noise", "gaussian", "--sigma", "0.3", "--seed", "2",
+                 "--out", str(d / "obs_small.json")]) == 0
     for name, spec in GEN_SPECS.items():
         (d / f"{name}.json").write_text(json.dumps(spec))
     return d
@@ -163,9 +192,14 @@ def outputs(d) -> dict:
         out[f"estimate_{name}"] = _run(["estimate", *flags, "--obs", str(d / "obs_gaussian.json"),
                                         "--spec", str(d / "spec.json")],
                                        d / f"est_{name}.json")
+    out["estimate_exact"] = _run(["estimate", *(str(d / f) if f.endswith(".json") else f
+                                                for f in EXACT)], d / "est_exact.json")
     for name, flags in PACKINGS.items():
         flags = [str(d / f) if f.endswith(".json") else f for f in flags]
         out[f"packing_{name}"] = _run(["packing", *flags], d / f"pack_{name}.json")
+    for name, flags in RATES.items():
+        flags = [str(d / f) if f.endswith(".json") else f for f in flags]
+        out[f"rates_{name}"] = _run(["rates", *flags], d / f"rates_{name}.json")
     for name, flags in GENS.items():
         flags = [str(d / f) if f.endswith(".json") else f for f in flags]
         fact, spec = d / f"gen_{name}_fact.json", d / f"gen_{name}_spec.json"

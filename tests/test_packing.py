@@ -119,6 +119,15 @@ def test_sign_embedding_rejects_empty_draws_up_front(r, max_resamples, name):
         sign_embedding(r, np.eye(3), seed=0, max_resamples=max_resamples)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sign_embedding_rejects_non_finite_vectors(bad):
+    # a NaN pair never counted as live, so the check passed vacuously; an
+    # infinity made every ratio NaN and ended in a ConstructionError
+    vectors = np.array([[bad, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ParameterError, match="^vectors must be finite"):
+        sign_embedding(200, vectors, seed=0)
+
+
 def test_sign_embedding_gives_up_gracefully():
     # r = 2 rows cannot certify many well-spread pairs
     vectors = sparse_binary_packing(k=10, s=3, seed=3).codewords

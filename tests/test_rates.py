@@ -53,6 +53,14 @@ def test_rate_components_saturate_at_dense_term():
     assert rate_components(spec).r_x == pytest.approx(min(4 * 3, 4 * 3 * 1.0))
 
 
+def test_rate_components_are_floats_when_the_dense_term_binds():
+    # min(n*r_m, ...) picks the int n*r_m here; RateReport declares floats
+    spec = StructureSpec(n=6, m=4, k_n=4, k_m=2, s_n=2, s_m=2, alphabet_n=BINARY, alphabet_m=BINARY)
+    report = rate_components(spec)
+    assert (report.r_x, report.r_z) == (12.0, 8.0)
+    assert type(report.r_x) is float and type(report.r_z) is float
+
+
 def test_zero_sparsity_drops_component():
     spec = StructureSpec(n=4, m=5, k_n=4, k_m=2, s_n=0, s_m=1,
                          alphabet_n=BINARY, alphabet_m=BINARY)

@@ -123,6 +123,18 @@ def test_observe_masks_signal_plus_noise():
     assert np.all(obs.y[mask == 0] == 0)
 
 
+@pytest.mark.parametrize("which", ["theta_star", "noise"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_observe_names_a_non_finite_input(which, bad):
+    # at an unobserved entry 0 * NaN is NaN, which Observation blamed on the mask
+    mask = np.ones((3, 3))
+    mask[0, 0] = 0.0
+    args = {"theta_star": np.ones((3, 3)), "noise": np.zeros((3, 3))}
+    args[which][0, 0] = bad
+    with pytest.raises(ParameterError, match=f"^{which} must be finite"):
+        observe(args["theta_star"], mask, args["noise"], p=0.5)
+
+
 def test_observe_rejects_shape_mismatch():
     with pytest.raises(ShapeError):
         observe(np.zeros((3, 3)), np.ones((3, 2)), np.zeros((3, 3)), p=1.0)
