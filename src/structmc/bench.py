@@ -26,7 +26,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ParameterError, _check_p, _check_range, _from_obj, _loader, _typed, assemble, norms
+from .core import (ParameterError, _check_ints, _check_p, _check_range, _from_obj, _loader, _typed,
+                   assemble, norms)
 from .estimators import (
     METHODS,
     EnumerationRefusal,
@@ -76,6 +77,7 @@ class BenchConfig:
     budget: float = 1e9
 
     def __post_init__(self):
+        _check_ints(self)
         if not self.grid:
             raise ParameterError("grid must be non-empty")
         if not self.p_values:

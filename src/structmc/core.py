@@ -95,6 +95,24 @@ def _typed(name: str, value, tp):
     return base(value)
 
 
+@functools.cache
+def _int_fields(cls) -> tuple[str, ...]:
+    """The constructor parameters (fields) of the dataclass cls declared int."""
+    params = inspect.signature(cls, eval_str=True).parameters
+    return tuple(name for name, param in params.items() if param.annotation is int)
+
+
+def _check_ints(value) -> None:
+    """Each int field of the dataclass value under _typed's rule, stored as an
+    int: numpy's integers pass, a bool or a float is a ParameterError naming
+    the field. Ranges are _check_range's."""
+    for name in _int_fields(type(value)):
+        try:
+            object.__setattr__(value, name, _typed(name, getattr(value, name), int))
+        except TypeError as exc:
+            raise ParameterError(str(exc)) from None
+
+
 def _from_obj(ctor, obj, what: str, keys=(), renamed=None, **read):
     """ctor called on the JSON object obj, whose keys are ctor's parameters (a
     dataclass's fields; renamed maps a parameter to its key where they differ)
@@ -244,6 +262,7 @@ class StructureSpec:
     bounded: bool = False
 
     def __post_init__(self):
+        _check_ints(self)
         for name in ("n", "m", "k_n", "k_m"):
             _check_range(name, getattr(self, name), 1)
         _check_range("s_n", self.s_n, 0, self.k_n)

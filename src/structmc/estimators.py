@@ -35,6 +35,7 @@ from .core import (
     ParameterError,
     ShapeError,
     StructureSpec,
+    _check_ints,
     _check_p,
     _check_range,
     assemble,
@@ -76,6 +77,7 @@ class SolverConfig:
     exhaustive_limit: int = 1_000_000
 
     def __post_init__(self):
+        _check_ints(self)
         for name in ("restarts", "max_iterations", "exhaustive_limit"):
             _check_range(name, getattr(self, name), 1)
         _check_range("tol", self.tol, 0, open_lo=True)

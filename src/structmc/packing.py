@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Factorization, ParameterError, StructureSpec, _check_p, _check_range,
-                   assemble, validate_membership)
+from .core import (Factorization, ParameterError, StructureSpec, _check_factor, _check_finite,
+                   _check_p, _check_range, assemble, validate_membership)
 from .simulate import PURPOSE_PACKING, stream
 
 __all__ = [
@@ -113,11 +113,15 @@ def _product(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.matmul(a, b.T, out=scratch[:len(a) * len(b)].reshape(len(a), len(b)))
 
 
-def _greedy_select(blocks, threshold: float, stop_at: int | None = None) -> np.ndarray:
+def _greedy_select(blocks, threshold: float, stop_at: int | None = None,
+                   separated: float = 0.0) -> np.ndarray:
     """Accept candidates whose Hamming distance to every accepted vector is
     >= threshold, in the order given (the sequential greedy), examining at
     most _CANDIDATE_CAP candidates and stopping once stop_at are accepted;
     returns the accepted vectors as float64 rows, (0, 0) if there were none.
+    separated is a distance the caller knows every two candidates to reach:
+    when threshold <= separated each candidate is accepted in turn, so the
+    screen is skipped.
 
     blocks yields (b, k) arrays of 0/1 candidate rows, of any size and real
     dtype; the distances are exact in float32 (see _distance_rows). Each
@@ -135,6 +139,9 @@ def _greedy_select(blocks, threshold: float, stop_at: int | None = None) -> np.n
     examined = 0
     # no candidate past the stop is screened; the first is accepted before any stop
     wanted = math.inf if stop_at is None else max(stop_at, 1)
+    if threshold <= separated:
+        taken = np.concatenate(list(blocks) or [np.empty((0, 0))])[:min(_CANDIDATE_CAP, wanted)]
+        return taken.astype(float) if len(taken) else np.empty((0, 0))
     for source in blocks:
         lo = 0
         while lo < len(source) and examined < _CANDIDATE_CAP and count < wanted:
@@ -227,12 +234,21 @@ def sparse_binary_packing(k: int, s: int,
     2^20, sampled beyond that); a vector is accepted iff it is at squared
     distance >= c3*s from everything accepted so far. Fails loudly when the
     accepted count falls short of log(count) >= c1 * s * ln(e k / s).
+
+    Enumerated candidates are distinct weight-s rows, any two at squared
+    distance 2 (s - |a & c|) >= 2, so when c3*s <= 2 the greedy accepts
+    every one and its screen is skipped: the permuted table is the packing
+    (s <= 4 at the default c3 = 0.5). Sampled candidates may repeat and are
+    always screened. The weight and separation certificates below check the
+    codewords either way.
     """
     _check_range("k", k, 2)
     _check_range("s", s, 1, k)
     c1, c2, c3 = target_c
     rng = stream(seed, PURPOSE_PACKING, 0)
-    codewords = _greedy_select(_weight_s_candidates(k, s, rng), threshold=c3 * s)
+    enumerated = math.comb(k, s) <= _CANDIDATE_CAP
+    codewords = _greedy_select(_weight_s_candidates(k, s, rng), threshold=c3 * s,
+                               separated=2.0 if enumerated else 0.0)
     count = len(codewords)
     required = c1 * s * math.log(math.e * k / s)
     if not count or math.log(count) < required:
@@ -311,20 +327,47 @@ def _pair_sq_distances(thetas) -> np.ndarray:
     return np.concatenate([np.sum(d * d, axis=1) for d in strips])
 
 
+def _check_members(facts, target: StructureSpec) -> None:
+    """A ConstructionError unless every factorization of facts lies in the
+    unbounded class target. The first is checked whole; a later factor equal
+    to the first's is thereby checked, and the later factors that differ
+    from it (Z across a t_z set, B across a t_b set) are stacked by rows and
+    checked in one call per factor. Unbounded, every check past the shapes
+    is per row or per entry, and a stack of more than one identity is no
+    identity, so a stack passes exactly when each of its matrices would (its
+    messages count rows from its first differing member)."""
+    first = facts[0]
+    violations = list(validate_membership(first, target).violations)
+    rules = {"x": (target.k_n, target.s_n, target.alphabet_n),
+             "z": (target.k_m, target.s_m, target.alphabet_m)}
+    for name in ("x", "b", "z"):
+        ref = getattr(first, name)
+        later = [getattr(f, name) for f in facts[1:]]
+        if any(a.shape != ref.shape for a in later):
+            violations.append(f"shape {name.upper()}: members differ from the first's {ref.shape}")
+            continue
+        stack = np.array(later).reshape(len(later), *ref.shape)
+        differ = stack[(stack != ref).any(axis=(1, 2))].reshape(-1, ref.shape[1])
+        if not len(differ):
+            continue
+        if name == "b":
+            _check_finite("B", differ, violations)
+        else:
+            _check_factor(name.upper(), differ, *rules[name], False, 0.0, violations)
+    if violations:
+        raise ConstructionError(
+            "constructed hypothesis leaves the class: " + "; ".join(violations))
+
+
 def _certified(facts, spec: StructureSpec, p: float, sigma: float, sep_bound: float,
                kl_bound: float, delta: float, kind: str) -> HypothesisSet:
     """The hypothesis set of facts, once every member is checked to lie in
-    the (unbounded) class and the recomputed pairwise certificates meet
-    their bounds: least squared distance >= sep_bound, largest KL <=
-    kl_bound. The KL p ||a - b||^2 / (2 sigma^2) increases with the squared
-    distance, so the largest is that of the largest squared distance."""
-    target = spec.unbounded()
-    for fact in facts:
-        report = validate_membership(fact, target)
-        if not report.accepted:
-            raise ConstructionError(
-                "constructed hypothesis leaves the class: " + "; ".join(report.violations)
-            )
+    the (unbounded) class (_check_members) and the recomputed pairwise
+    certificates meet their bounds: least squared distance >= sep_bound,
+    largest KL <= kl_bound. The KL p ||a - b||^2 / (2 sigma^2) increases
+    with the squared distance, so the largest is that of the largest
+    squared distance."""
+    _check_members(facts, spec.unbounded())
     thetas = tuple(assemble(f) for f in facts)
     sq = _pair_sq_distances(thetas)
     min_sq, max_kl = float(sq.min()), p * float(sq.max()) / (2.0 * sigma ** 2)

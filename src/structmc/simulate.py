@@ -28,6 +28,7 @@ from .core import (
     ParameterError,
     ShapeError,
     StructureSpec,
+    _check_ints,
     _check_p,
     _check_range,
     _from_obj,
@@ -186,6 +187,7 @@ class ModelFamily:
     spec: StructureSpec | None = None
 
     def __post_init__(self):
+        _check_ints(self)
         v = self.variant
         if v not in _GENERATORS:
             raise ParameterError(f"unknown family {v!r}")

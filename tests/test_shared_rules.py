@@ -206,6 +206,45 @@ def test_numeric_parameter_rule_rejects_non_finite_values_by_name(name, call, v)
         call(v)
 
 
+# ---- the integer fields --------------------------------------------------- #
+
+SPEC_ARGS = dict(n=4, m=4, k_n=2, k_m=2, s_n=1, s_m=1, alphabet_n=TERNARY, alphabet_m=TERNARY)
+
+# (a constructor, valid keyword arguments, its fields declared int)
+INT_FIELDS = [
+    (StructureSpec, SPEC_ARGS, ("n", "m", "k_n", "k_m", "s_n", "s_m")),
+    (est.SolverConfig, {}, ("restarts", "max_iterations", "exhaustive_limit")),
+    (lambda **kw: bench_config(**kw), {}, ("replicas", "seed")),
+    (ModelFamily, dict(variant="dictionary", d=6, n=5, k=3, s=2), ("n", "k", "s", "d")),
+    (ModelFamily, dict(variant="biclustering", n=6, m=5, k_n=3, k_m=2), ("m", "k_n", "k_m")),
+]
+INT_CASES = [(ctor, args, name) for ctor, args, names in INT_FIELDS for name in names]
+
+
+@pytest.mark.parametrize("bad", [6.0, 2.5, True, False, np.float64(3.0), np.bool_(True), "3"])
+@pytest.mark.parametrize("ctor, args, name", INT_CASES,
+                         ids=[f"{i}-{name}" for i, (_, _, name) in enumerate(INT_CASES)])
+def test_int_fields_refuse_non_integers_by_name(ctor, args, name, bad):
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer, got "):
+        ctor(**{**args, name: bad})
+
+
+@pytest.mark.parametrize("ctor, args, name", INT_CASES,
+                         ids=[f"{i}-{name}" for i, (_, _, name) in enumerate(INT_CASES)])
+def test_int_fields_take_numpy_integers_as_ints(ctor, args, name):
+    value = ctor(**args)
+    good = getattr(value, name)
+    built = ctor(**{**args, name: np.int32(good)})
+    assert type(getattr(built, name)) is int and built == value
+
+
+def test_spec_with_numpy_integers_writes_and_reads_back():
+    spec = StructureSpec(**{**SPEC_ARGS, "n": np.int64(4), "s_m": np.uint8(1)})
+    assert spec_to_obj(spec) == spec_to_obj(StructureSpec(**SPEC_ARGS))
+    with pytest.raises(ParameterError, match="^n must be an integer, got 6.0"):
+        StructureSpec(**{**SPEC_ARGS, "n": 6.0})
+
+
 # ---- the family list ------------------------------------------------------ #
 
 def test_cli_families_are_the_generators():
